@@ -1,11 +1,15 @@
 #include "common.hpp"
 
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 namespace perfbench {
 
@@ -13,15 +17,6 @@ std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 double median(std::vector<double> v) { return quantile(std::move(v), 0.5); }
@@ -75,6 +70,57 @@ std::string read_file(const std::string& path) {
   std::ostringstream s;
   s << in.rdbuf();
   return s.str();
+}
+
+namespace {
+
+/// Runs `set_up` in one forked child and returns the wall seconds it took.
+double set_up_in_child(const std::function<void()>& set_up) {
+  int fds[2];
+  if (pipe(fds) != 0) throw std::runtime_error{"set-up: pipe() failed"};
+  std::fflush(nullptr);  // the child must not flush this process's buffers again
+  const pid_t child = fork();
+  if (child < 0) throw std::runtime_error{"set-up: fork() failed"};
+  if (child == 0) {
+    close(fds[0]);
+    int status = 1;
+    try {
+      const std::int64_t start = now_ns();
+      set_up();
+      const double seconds = wall_s_since(start);
+      if (write(fds[1], &seconds, sizeof seconds) == sizeof seconds) status = 0;
+    } catch (...) {
+    }
+    _exit(status);
+  }
+  close(fds[1]);
+  double seconds = 0.0;
+  const bool got = read(fds[0], &seconds, sizeof seconds) == sizeof seconds;
+  close(fds[0]);
+  int status = 0;
+  waitpid(child, &status, 0);
+  if (!got || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    throw std::runtime_error{"set-up failed in a child process"};
+  }
+  return seconds;
+}
+
+}  // namespace
+
+double forked_setup_s(const std::function<void()>& set_up) {
+  // Untimed children first, for kHostWarmupS: the first processes after an
+  // idle spell run at half speed for a second or two, a cost of the host
+  // that back-to-back runs of the program do not pay.
+  int untimed = 0;
+  for (const std::int64_t start = now_ns(); wall_s_since(start) < kHostWarmupS; ++untimed) {
+    set_up_in_child(set_up);
+  }
+  std::vector<double> times;
+  for (int rep = 0; rep < kSetupRepeats; ++rep) times.push_back(set_up_in_child(set_up));
+  std::fprintf(stderr, "set-up in fresh processes: %d untimed, then timed:", untimed);
+  for (const double t : times) std::fprintf(stderr, " %.4f", t);
+  std::fprintf(stderr, " s\n");
+  return median(times);
 }
 
 }  // namespace perfbench

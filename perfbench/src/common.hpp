@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -46,17 +47,15 @@ Outcome run_ingest_churn(const Options& opt);
 Outcome run_survey_lean(const Options& opt);
 Outcome run_survey_durable(const Options& opt);
 
+/// A bijective 64-bit mix: distinct inputs give distinct flow ids.
+std::uint64_t mix64(std::uint64_t x);
+
 /// splitmix64 stream: the benchmark renders every input with its own
 /// generator, so no change under src/ can change the traffic it measures.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : state_{seed} {}
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
+  std::uint64_t next() { return mix64(state_ += 0x9e3779b97f4a7c15ULL); }
   /// Uniform in [0, n).
   std::uint64_t below(std::uint64_t n) { return n == 0 ? 0 : next() % n; }
   double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
@@ -65,10 +64,6 @@ class Rng {
  private:
   std::uint64_t state_;
 };
-
-/// A bijective 64-bit mix: distinct inputs give distinct flow ids.
-std::uint64_t mix64(std::uint64_t x);
-std::uint64_t fnv1a64(const std::string& bytes);
 
 double median(std::vector<double> v);
 /// Linear-interpolated quantile, q in [0, 1].
@@ -104,8 +99,20 @@ double run_passes(double seconds, Pass&& pass) {
   return rss_mb;
 }
 
-/// Set-up is repeated this many times per run and its median reported, so
-/// one slow repetition (the first after an idle spell) does not move it.
-inline constexpr int kSetupRepeats = 3;
+/// Set-up is timed this many times per run and its median reported, so one
+/// slow repetition does not move it.
+inline constexpr int kSetupRepeats = 5;
+/// Wall seconds of untimed set-ups before the timed ones.
+inline constexpr double kHostWarmupS = 2.0;
+
+/// Times `set_up` in kSetupRepeats child processes, forked one after
+/// another after kHostWarmupS of untimed ones, and returns the median of
+/// their wall seconds. Call it before the workload has done anything in
+/// this process, while it has one thread: each child then starts from the
+/// state a fresh run starts from, so a cost paid once per process (a
+/// first-use table, allocator growth, thread start-up) lands in every
+/// repetition rather than only the first. Throws when a child does not
+/// finish cleanly.
+double forked_setup_s(const std::function<void()>& set_up);
 
 }  // namespace perfbench

@@ -14,6 +14,7 @@
 #include "ingest/parallel_pipeline.hpp"
 #include "ingest/pipeline.hpp"
 #include "monitor/engine.hpp"
+#include "util/fault_injector.hpp"
 
 namespace perfbench {
 namespace {
@@ -27,6 +28,7 @@ using reorder::ingest::ParallelPipelineStats;
 using reorder::ingest::SequenceEngine;
 using reorder::monitor::MonitorConfig;
 using reorder::monitor::MonitorEngine;
+using reorder::util::fnv1a64;
 
 constexpr std::size_t kShards = 2;
 constexpr std::size_t kBatch = 1024;
@@ -256,19 +258,13 @@ Outcome run_ingest(const Options& opt, const Shape& shape, Render render) {
   Outcome out;
   Tracer& tracer = Tracer::instance();
 
-  // ---- set-up, repeated; the last repetition's pipeline and stream are kept.
+  // ---- set-up: the stream, the pipeline and one warm-up pass, timed in
+  // fresh processes, then done once more here for the timed phase.
   std::vector<Arrival> stream;
   std::vector<Arrival> corrupted;
   std::optional<ParallelIngestPipeline> pipeline;
-  std::vector<double> setups;
   Fold fold;
-  for (int rep = 0; rep < kSetupRepeats; ++rep) {
-    // Tear the previous repetition down first, so repetitions do not
-    // overlap in memory.
-    pipeline.reset();
-    stream = {};
-    corrupted = {};
-    const std::int64_t start = now_ns();
+  const auto set_up = [&] {
     stream = render(opt.seed, opt.tiny);
     if (opt.corrupt) {
       // One send index with a flipped bit, seen by the pipeline and not the
@@ -279,9 +275,9 @@ Outcome run_ingest(const Options& opt, const Shape& shape, Render render) {
     }
     pipeline.emplace(pipeline_config(kShards, shape.monitor));
     ingest_pass(*pipeline, opt.corrupt ? corrupted : stream, fold);  // warm-up
-    setups.push_back(wall_s_since(start));
-  }
-  out.setup_s = median(setups);
+  };
+  out.setup_s = forked_setup_s(set_up);
+  set_up();
   const std::vector<Arrival>& fed = opt.corrupt ? corrupted : stream;
   int pipeline_passes = 1;  // the kept pipeline's warm-up
 

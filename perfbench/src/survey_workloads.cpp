@@ -20,6 +20,7 @@
 #include "core/survey_testbed.hpp"
 #include "report/jsonl.hpp"
 #include "service/survey_service.hpp"
+#include "util/fault_injector.hpp"
 
 namespace perfbench {
 namespace {
@@ -28,6 +29,7 @@ using reorder::core::SurveyCheckpoint;
 using reorder::core::SurveyTargetConfig;
 using reorder::service::SurveyService;
 using reorder::service::SurveyServiceConfig;
+using reorder::util::fnv1a64;
 
 constexpr std::size_t kAdmitBatch = 64;
 
@@ -200,19 +202,18 @@ Outcome run_survey(const Options& opt, const Shape& shape) {
   const std::size_t targets = opt.tiny ? shape.tiny_targets : shape.targets;
   SurveyRun run{opt, shape};
 
-  // ---- set-up, repeated: the population, then one warm-up pass (which
-  // constructs its own service).
+  // ---- set-up: the population, then one warm-up pass (which constructs
+  // its own service), timed in fresh processes, then done once more here
+  // for the timed phase.
   std::vector<SurveyTargetConfig> fleet;
-  std::vector<double> setups;
-  for (int rep = 0; rep < kSetupRepeats; ++rep) {
-    const std::int64_t start = now_ns();
+  const auto set_up = [&] {
     fleet = population(opt.seed, targets);
     // Self-test corruption: the service never sees the last target.
     if (opt.corrupt) fleet.pop_back();
     run.pass(fleet);
-    setups.push_back(wall_s_since(start));
-  }
-  out.setup_s = median(setups);
+  };
+  out.setup_s = forked_setup_s(set_up);
+  set_up();
 
   const auto rates = [&](const std::vector<PassRecord>& records) {
     std::vector<double> r;

@@ -12,7 +12,9 @@ reversed on odd ones, with seed = --seed-base + round. For each workload and
 end-to-end metric it prints the median, the quartiles (Python's
 statistics.quantiles(values, n=4)), the spread (q3 - q1) / median that the
 bound in BENCHMARK.json is checked against, and the coefficient of
-variation. --against compares medians with a previous --save.
+variation. --against compares medians with a previous --save. Each run's
+line on stderr also gives the CPU time the hypervisor stole from the
+machine during it, so a slow spell of the host can be told from a slow run.
 """
 import argparse
 import json
@@ -37,6 +39,17 @@ def run_once(workload, seed, seconds):
               file=sys.stderr, flush=True)
         return None
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def host_steal_s():
+    """CPU seconds the hypervisor has taken from this machine's vCPUs so far
+    (the steal column of /proc/stat), or None where it is not reported."""
+    try:
+        with open("/proc/stat") as f:
+            fields = f.readline().split()
+        return int(fields[8]) / os.sysconf("SC_CLK_TCK")
+    except (OSError, IndexError, ValueError):
+        return None
 
 
 def outliers(values):
@@ -64,13 +77,16 @@ def main():
     for r in range(args.runs):
         order = args.workloads if r % 2 == 0 else list(reversed(args.workloads))
         for w in order:
+            steal0 = host_steal_s()
             got = run_once(w, args.seed_base + r, args.seconds)
+            steal1 = host_steal_s()
+            steal = "" if steal0 is None else f", host steal {steal1 - steal0:.2f} cpu-s"
             if got is None:
                 failures.append(f"{w} seed {args.seed_base + r}")
                 continue
             for name in values[w]:
                 values[w][name].append(got[name])
-            print(f"round {r} {w}: " + ", ".join(f"{k}={v:.6g}" for k, v in got.items()),
+            print(f"round {r} {w}: " + ", ".join(f"{k}={v:.6g}" for k, v in got.items()) + steal,
                   file=sys.stderr, flush=True)
 
     previous = json.load(open(args.against)) if args.against else None
@@ -87,20 +103,22 @@ def main():
             q1, med, q3 = statistics.quantiles(vals, n=4)
             spread = (q3 - q1) / med
             cv = statistics.stdev(vals) / statistics.mean(vals)
-            ok = name == "setup_s" or spread < bounds[name] / 3
+            ok = spread < bounds[name] / 3
             steady = steady and ok
             line = (f"{w:17} {name:17} {med:12.6g} {q1:12.6g} {q3:12.6g} "
                     f"{spread:7.2%} {cv:7.2%} {bounds[name] / 3:7.2%}{'' if ok else '  WIDE'}")
             if previous:
                 before = statistics.median(previous[w][name])
                 worse = (before - med) / before if better[name] == "higher" else (med - before) / before
-                line += f"  {worse:+.2%} worse" + ("  OVER BOUND" if worse > bounds[name] else "")
+                over = worse > bounds[name]
+                steady = steady and not over
+                line += f"  {worse:+.2%} worse" + ("  OVER BOUND" if over else "")
             print(line)
 
-    # First run after an idle spell: each run repeats its set-up three times
-    # with a warm-up pass and reports the median, and throughput is the
-    # median of per-pass rates, so a slow start inside one run does not move
-    # its figures. What is left between runs shows here: Tukey outliers are
+    # First run after an idle spell: each run times its set-up (ending in a
+    # warm-up pass) in five fresh processes and reports the median, and
+    # throughput is the median of per-pass rates after that warm-up, so a
+    # slow start inside one run does not move its figures. What is left between runs shows here: Tukey outliers are
     # listed and kept (the quartiles above are robust to one of ten).
     print("\noutliers (beyond 1.5 x IQR; kept in the statistics above):")
     found = False
