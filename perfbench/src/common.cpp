@@ -5,7 +5,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -35,12 +38,9 @@ double wall_s_since(std::int64_t start_ns) {
 }
 
 double process_cpu_s() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  const auto secs = [](const timeval& tv) {
-    return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) / 1e6;
-  };
-  return secs(ru.ru_utime) + secs(ru.ru_stime);
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) / 1e9;
 }
 
 void reset_peak_rss() {
@@ -72,36 +72,67 @@ std::string read_file(const std::string& path) {
   return s.str();
 }
 
-namespace {
-
-/// Runs `set_up` in one forked child and returns the wall seconds it took.
-double set_up_in_child(const std::function<void()>& set_up) {
+std::string run_in_child(const std::function<std::string()>& body) {
   int fds[2];
-  if (pipe(fds) != 0) throw std::runtime_error{"set-up: pipe() failed"};
+  if (pipe(fds) != 0) throw std::runtime_error{"pipe() failed"};
   std::fflush(nullptr);  // the child must not flush this process's buffers again
   const pid_t child = fork();
-  if (child < 0) throw std::runtime_error{"set-up: fork() failed"};
+  if (child < 0) {
+    close(fds[0]);
+    close(fds[1]);
+    throw std::runtime_error{"fork() failed"};
+  }
   if (child == 0) {
     close(fds[0]);
     int status = 1;
     try {
-      const std::int64_t start = now_ns();
-      set_up();
-      const double seconds = wall_s_since(start);
-      if (write(fds[1], &seconds, sizeof seconds) == sizeof seconds) status = 0;
+      const std::string out = body();
+      std::size_t sent = 0;
+      while (sent < out.size()) {
+        const ssize_t n = write(fds[1], out.data() + sent, out.size() - sent);
+        if (n <= 0) break;
+        sent += static_cast<std::size_t>(n);
+      }
+      if (sent == out.size()) status = 0;
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "child process: %s\n", e.what());
     } catch (...) {
     }
     _exit(status);
   }
   close(fds[1]);
-  double seconds = 0.0;
-  const bool got = read(fds[0], &seconds, sizeof seconds) == sizeof seconds;
+  std::string out;
+  char buf[1 << 16];
+  for (ssize_t n; (n = read(fds[0], buf, sizeof buf)) != 0;) {
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      break;
+    }
+    out.append(buf, static_cast<std::size_t>(n));
+  }
   close(fds[0]);
   int status = 0;
-  waitpid(child, &status, 0);
-  if (!got || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    throw std::runtime_error{"set-up failed in a child process"};
+  while (waitpid(child, &status, 0) < 0 && errno == EINTR) {
   }
+  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    throw std::runtime_error{"a child process did not finish cleanly"};
+  }
+  return out;
+}
+
+namespace {
+
+/// Runs `set_up` in one forked child and returns the wall seconds it took.
+double set_up_in_child(const std::function<void()>& set_up) {
+  const std::string out = run_in_child([&] {
+    const std::int64_t start = now_ns();
+    set_up();
+    const double seconds = wall_s_since(start);
+    return std::string(reinterpret_cast<const char*>(&seconds), sizeof seconds);
+  });
+  if (out.size() != sizeof(double)) throw std::runtime_error{"set-up failed in a child process"};
+  double seconds = 0.0;
+  std::memcpy(&seconds, out.data(), sizeof seconds);
   return seconds;
 }
 

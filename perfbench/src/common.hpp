@@ -35,6 +35,8 @@ struct Outcome {
   /// Oracle mismatches and broken invariants; empty means correct.
   std::vector<std::string> errors;
 
+  /// Units of work per CPU second of the process: the median of the timed
+  /// passes' rates.
   double throughput_per_s{0.0};
   double setup_s{0.0};
   double peak_rss_mb{0.0};
@@ -70,34 +72,33 @@ double median(std::vector<double> v);
 double quantile(std::vector<double> v, double q);
 
 double wall_s_since(std::int64_t start_ns);
-/// Process CPU seconds (all threads, user + system).
+/// Process CPU seconds: every thread, live or exited, user + system. Time
+/// the hypervisor gives another machine (steal) is not in it.
 double process_cpu_s();
-/// Restarts the peak-resident-set count, so each workload of a
-/// multi-workload run reports its own peak.
+/// Restarts the peak-resident-set count from the current resident set.
 void reset_peak_rss();
 /// Peak resident set in MB since the last reset_peak_rss().
 double peak_rss_mb();
 double file_mb(const std::string& path);
 std::string read_file(const std::string& path);
 
-/// Every timed phase runs at least this many passes, and peak_rss_mb is
-/// read right after them: a fixed amount of work, so the figure does not
-/// grow with how many passes a faster build fits into the run (the survey
-/// worlds leak a little memory per single-connection measurement).
+/// Every timed phase runs at least this many passes.
 inline constexpr int kMinPasses = 5;
 
 /// Calls pass() until `seconds` of wall time have elapsed and at least
-/// kMinPasses passes ran; returns peak_rss_mb() as of pass kMinPasses.
+/// kMinPasses passes ran.
 template <typename Pass>
-double run_passes(double seconds, Pass&& pass) {
+void run_passes(double seconds, Pass&& pass) {
   const std::int64_t start = now_ns();
-  double rss_mb = 0.0;
-  for (int n = 0; n < kMinPasses || wall_s_since(start) < seconds; ++n) {
-    pass();
-    if (n + 1 == kMinPasses) rss_mb = peak_rss_mb();
-  }
-  return rss_mb;
+  for (int n = 0; n < kMinPasses || wall_s_since(start) < seconds; ++n) pass();
 }
+
+/// Runs `body` in a child forked from this process and returns the bytes it
+/// returned there; waits for the child to exit. The caller must have no
+/// other threads. The child starts from this process's state and its
+/// effects on memory die with it, so every call starts from the same state.
+/// Throws when the child does not finish cleanly.
+std::string run_in_child(const std::function<std::string()>& body);
 
 /// Set-up is timed this many times per run and its median reported, so one
 /// slow repetition does not move it.

@@ -182,6 +182,11 @@ struct Fold {
 
 struct PassRecord {
   double seconds{0.0};
+  /// Process CPU seconds over the same span. Every pipeline thread is
+  /// always runnable (working or spinning), so this is about the thread
+  /// count times the pass's wall time less what the hypervisor stole:
+  /// steal slows the pass without moving it.
+  double cpu_s{0.0};
   ParallelPipelineStats stats;
   std::uint64_t evictions{0};
   Tally suite_create;
@@ -203,6 +208,7 @@ PassRecord ingest_pass(ParallelIngestPipeline& pipeline, const std::vector<Arriv
   };
   PassRecord rec;
   const std::int64_t start = now_ns();
+  const double cpu0 = process_cpu_s();
   {
     ScopedSpan span{"ingest.run"};
     pipeline.run(source);
@@ -220,6 +226,7 @@ PassRecord ingest_pass(ParallelIngestPipeline& pipeline, const std::vector<Arriv
     fold.monitor = pipeline.merged_monitor();
   }
   rec.seconds = wall_s_since(start);
+  rec.cpu_s = process_cpu_s() - cpu0;
   rec.stats = pipeline.stats();
   rec.evictions = fold.monitor.table().counters().evictions;
   rec.suite_create = Tracer::instance().take_tally("metrics.suite_create");
@@ -292,22 +299,36 @@ Outcome run_ingest(const Options& opt, const Shape& shape, Render render) {
       churn_mon_hashes.push_back(fnv1a64(fold.monitor.to_json().dump()));
     }
   };
-  const auto rates = [&](const std::vector<PassRecord>& records) {
+  const auto cpu_rates = [&](const std::vector<PassRecord>& records) {
+    std::vector<double> r;
+    for (const PassRecord& p : records) r.push_back(static_cast<double>(fed.size()) / p.cpu_s);
+    return r;
+  };
+  const auto wall_rates = [&](const std::vector<PassRecord>& records) {
     std::vector<double> r;
     for (const PassRecord& p : records) r.push_back(static_cast<double>(fed.size()) / p.seconds);
     return r;
   };
 
   // ---- timed phase (untraced).
+  // Each pass's own peak resident set; their median is the run's figure.
   std::vector<PassRecord> untraced;
+  std::vector<double> rss;
   const double cpu0 = process_cpu_s();
-  out.peak_rss_mb =
-      run_passes(opt.trace ? opt.seconds / 2 : opt.seconds, [&] { timed_pass(untraced); });
+  run_passes(opt.trace ? opt.seconds / 2 : opt.seconds, [&] {
+    reset_peak_rss();
+    timed_pass(untraced);
+    rss.push_back(peak_rss_mb());
+  });
   const double cpu_s = process_cpu_s() - cpu0;
-  out.throughput_per_s = median(rates(untraced));
-  std::fprintf(stderr, "%s: per-pass rate q1 %.6g, median %.6g, q3 %.6g over %zu passes\n",
-               shape.name, quantile(rates(untraced), 0.25), out.throughput_per_s,
-               quantile(rates(untraced), 0.75), untraced.size());
+  out.throughput_per_s = median(cpu_rates(untraced));
+  out.peak_rss_mb = median(rss);
+  std::fprintf(stderr,
+               "%s: per-pass arrivals per CPU second q1 %.6g, median %.6g, q3 %.6g; "
+               "per wall second median %.6g; %zu passes\n",
+               shape.name, quantile(cpu_rates(untraced), 0.25), out.throughput_per_s,
+               quantile(cpu_rates(untraced), 0.75), median(wall_rates(untraced)),
+               untraced.size());
 
   // ---- traced phase and single-layer probes.
   std::vector<PassRecord> traced;
@@ -379,7 +400,7 @@ Outcome run_ingest(const Options& opt, const Shape& shape, Render render) {
     L["ingest.fill_full_share"] = sub > 0 ? full / sub : 0.0;
     L["ingest.imbalance_ratio"] = median(imbalance);
     L["ingest.cpu_s_per_m_arrivals"] = arrivals > 0 ? cpu_s / (arrivals / 1e6) : 0.0;
-    L["ingest.scaling_vs_1shard"] = out.throughput_per_s / median(rates(one_shard));
+    L["ingest.scaling_vs_1shard"] = median(wall_rates(untraced)) / median(wall_rates(one_shard));
     L["ingest.flush_s"] = median(per_pass("ingest.flush"));
     L["metrics.suite_create_count"] = median(creates);
     L["metrics.suite_create_s"] = median(create_s);
@@ -388,7 +409,8 @@ Outcome run_ingest(const Options& opt, const Shape& shape, Render render) {
     L["monitor.ingest_batch_per_s"] = monitor_rate;
     L["monitor.evictions"] = median(evictions);
     L["monitor.fold_s"] = median(per_pass("monitor.fold"));
-    L["trace.throughput_delta_per_s"] = median(rates(traced)) - out.throughput_per_s;
+    L["pass.wall_throughput_per_s"] = median(wall_rates(untraced));
+    L["trace.throughput_delta_per_s"] = median(cpu_rates(traced)) - out.throughput_per_s;
   }
 
   // ---- verification: after the clock, counts toward no metric.

@@ -71,6 +71,7 @@ constexpr MetricSpec kPerLayer[] = {
     {"core.checkpoint_load_s", "s"},
     {"report.emit_s", "s"},
     {"report.emit_mb", "MB"},
+    {"pass.wall_throughput_per_s", "1/s"},
     {"trace.throughput_delta_per_s", "1/s"},
 };
 

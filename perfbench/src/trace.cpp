@@ -73,12 +73,22 @@ void Tracer::clear() {
     b->spans.clear();
     b->tallies.clear();
   }
+  imported_.clear();
+}
+
+void Tracer::import(const std::vector<Span>& spans) {
+  std::lock_guard lock{mu_};
+  std::uint32_t next = next_id_.load(std::memory_order_relaxed);
+  for (const Span& s : spans) next = std::max(next, s.id + 1);
+  next_id_.store(next, std::memory_order_relaxed);
+  imported_.insert(imported_.end(), spans.begin(), spans.end());
 }
 
 std::vector<Span> Tracer::spans() const {
   std::lock_guard lock{mu_};
   std::vector<Span> out;
   for (const auto& b : buffers_) out.insert(out.end(), b->spans.begin(), b->spans.end());
+  out.insert(out.end(), imported_.begin(), imported_.end());
   std::sort(out.begin(), out.end(),
             [](const Span& a, const Span& b) { return a.start_ns < b.start_ns; });
   return out;
@@ -86,7 +96,7 @@ std::vector<Span> Tracer::spans() const {
 
 std::size_t Tracer::span_count() const {
   std::lock_guard lock{mu_};
-  std::size_t n = 0;
+  std::size_t n = imported_.size();
   for (const auto& b : buffers_) n += b->spans.size();
   return n;
 }

@@ -65,6 +65,10 @@ class Tracer {
   /// Drops every span and tally. Only call when no other thread records.
   void clear();
 
+  /// Adds spans recorded in a child forked from this process. Their names
+  /// point into the same program image, so they stay valid here.
+  void import(const std::vector<Span>& spans);
+
   /// Every recorded span, ordered by start time.
   std::vector<Span> spans() const;
   std::size_t span_count() const;
@@ -86,6 +90,7 @@ class Tracer {
   std::atomic<std::uint32_t> next_id_{1};
   mutable std::mutex mu_;  ///< guards buffers_ (the list, not the contents)
   std::vector<std::unique_ptr<Buffer>> buffers_;
+  std::vector<Span> imported_;  ///< guarded by mu_
 };
 
 /// Records one span around its scope when tracing is on.

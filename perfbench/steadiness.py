@@ -118,8 +118,9 @@ def main():
     # First run after an idle spell: each run times its set-up (ending in a
     # warm-up pass) in five fresh processes and reports the median, and
     # throughput is the median of per-pass rates after that warm-up, so a
-    # slow start inside one run does not move its figures. What is left between runs shows here: Tukey outliers are
-    # listed and kept (the quartiles above are robust to one of ten).
+    # slow start inside one run does not move its figures. What is left
+    # between runs shows here: Tukey outliers are listed and kept (the
+    # quartiles above are robust to one of ten).
     print("\noutliers (beyond 1.5 x IQR; kept in the statistics above):")
     found = False
     for w in args.workloads:
