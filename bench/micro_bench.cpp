@@ -7,9 +7,13 @@
 // report layer like every other bench binary's.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <map>
 #include <unordered_map>
 
 #include "bench_common.hpp"
+#include "core/checkpoint.hpp"
 #include "core/sharded_survey.hpp"
 #include "ingest/parallel_pipeline.hpp"
 #include "ingest/pipeline.hpp"
@@ -429,6 +433,48 @@ void BM_LiveSnapshot(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LiveSnapshot);
+
+// One durability point of a retained survey: `targets` single-connection
+// results recorded one per checkpoint record (the service keys records
+// by target), then one timed save() — the whole file through tmp +
+// rename, as SurveyService and ShardedSurveyEngine rewrite it. Recording
+// is set-up: records are rendered once, so a save is the cost that
+// recurs at every durability point.
+const core::SurveyCheckpoint& retained_checkpoint(std::size_t targets) {
+  static std::map<std::size_t, core::SurveyCheckpoint> built;
+  auto [it, inserted] = built.try_emplace(targets);
+  if (!inserted) return it->second;
+  core::ShardedSurveyConfig cfg;
+  cfg.fleet.seed = 11;
+  for (std::size_t i = 0; i < targets; ++i) {
+    core::SurveyTargetConfig target;
+    target.name = "host-" + std::to_string(i);
+    target.forward.swap_probability = static_cast<double>(i % 4) * 0.05;
+    target.remote.behavior.immediate_ack_on_hole_fill = true;
+    target.tests = {core::TestSpec{"single-connection"}};
+    cfg.fleet.targets.push_back(std::move(target));
+  }
+  cfg.shards = targets;
+  const core::ShardedSurveyEngine engine{cfg};
+  core::TestRunConfig run;
+  run.samples = 15;
+  it->second.set_header({targets, targets, 1, cfg.fleet.seed});
+  for (std::size_t s = 0; s < targets; ++s) {
+    it->second.record_shard(engine.run_shard(s, run, 1, util::Duration::millis(200)));
+  }
+  return it->second;
+}
+
+void BM_CheckpointSave(benchmark::State& state) {
+  const auto targets = static_cast<std::size_t>(state.range(0));
+  const core::SurveyCheckpoint& checkpoint = retained_checkpoint(targets);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "reorder_bench_checkpoint.jsonl").string();
+  for (auto _ : state) checkpoint.save(path);
+  std::remove(path.c_str());
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_CheckpointSave)->ArgName("targets")->Arg(512)->Unit(benchmark::kMillisecond);
 
 // ----------------------------------------------------------------- monitor
 

@@ -1,5 +1,6 @@
 #include "core/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -17,11 +18,44 @@ namespace {
 /// construction order, which the codec fixes, so the checksum is stable
 /// across processes — and fnv1a64 is already this repo's on-disk hash
 /// (the fault-injector site hash documents the constants).
-std::string body_crc(const report::Json& body) {
-  const std::uint64_t h = util::fnv1a64(body.dump());
+std::string body_crc(std::string_view body_text) {
+  const std::uint64_t h = util::fnv1a64(body_text);
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
   return std::string{buf};
+}
+
+/// Appends member `key` with an already-rendered value to the rendered
+/// object `object`: the bytes set(key, value) then dump() would give,
+/// without rendering `value` again. `key` needs no escaping.
+void append_member(std::string& object, std::string_view key, std::string_view value) {
+  object.pop_back();  // the closing '}'
+  if (object.size() > 1) object += ',';
+  object += '"';
+  object += key;
+  object += "\":";
+  object += value;
+  object += '}';
+}
+
+/// The complete on-disk shard_done line (no newline) for a rendered body.
+std::string shard_line(std::size_t shard, std::string_view body_text) {
+  report::Json head = report::Json::object();
+  head.set("type", "shard_done");
+  head.set("shard", report::Json::u64(shard));
+  head.set("crc", body_crc(body_text));
+  std::string line;
+  line.reserve(body_text.size() + 64);
+  head.dump_to(line);
+  append_member(line, "body", body_text);
+  return line;
+}
+
+/// Parses a line this class rendered (it was checked or produced here).
+report::Json parse_line(const std::string& line) {
+  std::optional<report::Json> parsed = report::Json::parse(line);
+  if (!parsed) throw std::logic_error{"SurveyCheckpoint: stored record does not parse"};
+  return std::move(*parsed);
 }
 
 report::Json sample_to_json(const SampleResult& s) {
@@ -123,20 +157,26 @@ void SurveyCheckpoint::record_shard(const ShardRunResult& result, int attempts) 
   report::Json log = report::Json::array();
   for (const Measurement& m : result.log) log.push(measurement_to_json(m));
   body.set("log", std::move(log));
+  std::string body_text;
+  body.dump_to(body_text);
   // The shard's metric snapshots travel as the exact `metrics` records
   // the engine would emit — the same schema restore_record consumes, so
-  // checkpointing exercises no second serialization format.
-  std::ostringstream text;
-  report::JsonlWriter writer{text};
+  // checkpointing exercises no second serialization format. Each line is
+  // already a dump(), and dump(parse(dump(x))) == dump(x), so the records
+  // splice in as written instead of being parsed and rendered again.
+  std::ostringstream emitted;
+  report::JsonlWriter writer{emitted};
   result.metrics.emit_jsonl(writer, metrics::MetricEngine::EmitOrder::kCanonical);
-  report::Json records = report::Json::array();
-  for (report::Json& rec : report::read_jsonl_text(text.str())) records.push(std::move(rec));
-  body.set("metrics", std::move(records));
-  shards_[result.shard] = ShardRecord{std::move(body)};
+  std::string records = emitted.str();
+  if (!records.empty()) records.pop_back();  // the last record's '\n'
+  std::replace(records.begin(), records.end(), '\n', ',');
+  append_member(body_text, "metrics", "[" + records + "]");
+  shards_[result.shard] = shard_line(result.shard, body_text);
 }
 
 ShardRunResult SurveyCheckpoint::restore_shard(std::size_t shard) const {
-  const report::Json& body = shards_.at(shard).body;
+  const report::Json line = parse_line(shards_.at(shard));
+  const report::Json& body = line.at("body");
   ShardRunResult out;
   out.shard = static_cast<std::size_t>(body.at("shard").as_u64());
   out.end = end_from_json(body.at("end"));
@@ -151,12 +191,11 @@ ShardRunResult SurveyCheckpoint::restore_shard(std::size_t shard) const {
 }
 
 int SurveyCheckpoint::attempts(std::size_t shard) const {
-  return static_cast<int>(shards_.at(shard).body.at("attempts").as_int());
+  return static_cast<int>(parse_line(shards_.at(shard)).at("body").at("attempts").as_int());
 }
 
 std::string SurveyCheckpoint::serialize() const {
-  std::ostringstream text;
-  report::JsonlWriter writer{text};
+  std::string text;
   if (header_) {
     report::Json h = report::Json::object();
     h.set("type", "checkpoint_header");
@@ -164,26 +203,22 @@ std::string SurveyCheckpoint::serialize() const {
     h.set("targets", report::Json::u64(header_->targets));
     h.set("rounds", header_->rounds);
     h.set("seed", report::Json::u64(header_->seed));
-    writer.write(h);
+    h.dump_to(text);
+    text += '\n';
   }
-  for (const auto& [shard, record] : shards_) {
-    report::Json line = report::Json::object();
-    line.set("type", "shard_done");
-    line.set("shard", report::Json::u64(shard));
-    line.set("crc", body_crc(record.body));
-    line.set("body", record.body);
-    writer.write(line);
+  std::size_t size = text.size();
+  for (const auto& [shard, line] : shards_) size += line.size() + 1;
+  text.reserve(size);
+  for (const auto& [shard, line] : shards_) {
+    text += line;
+    text += '\n';
   }
-  return text.str();
+  return text;
 }
 
 void SurveyCheckpoint::save(const std::string& path) const {
   report::AtomicJsonlFile file{path};
-  // Re-emit through the same writer so serialize() stays the single
-  // source of the on-disk rendering (the torn-write tests slice it).
-  for (report::Json& line : report::read_jsonl_text(serialize())) {
-    file.writer().write(line);
-  }
+  file.write_text(serialize());
   file.commit();
 }
 
@@ -212,14 +247,17 @@ SurveyCheckpoint SurveyCheckpoint::load(const std::string& path) {
     }
     const report::Json* crc = line.find("crc");
     const report::Json* body = line.find("body");
+    std::string body_text;
+    if (body != nullptr) body->dump_to(body_text);
     if (crc == nullptr || body == nullptr || !crc->is_string() ||
-        crc->as_string() != body_crc(*body)) {
+        crc->as_string() != body_crc(body_text)) {
       // A record that parsed but fails its checksum (or lost fields) is
       // corruption, not a schema: drop it and let the shard re-run.
       ++cp.torn_;
       continue;
     }
-    cp.shards_[static_cast<std::size_t>(line.at("shard").as_u64())] = ShardRecord{*body};
+    const auto shard = static_cast<std::size_t>(line.at("shard").as_u64());
+    cp.shards_[shard] = shard_line(shard, body_text);
   }
   return cp;
 }

@@ -10,9 +10,16 @@
 // (restored through the metrics from_json contract, so the resumed merge
 // is bit-identical to an uninterrupted run's).
 //
+// Each record is rendered once, when it is recorded (or accepted by
+// load()): the checkpoint keeps the finished `shard_done` line as text,
+// not a Json tree, so a save concatenates cached bytes and never renders
+// or parses a record again. Only the restore path (restore_shard,
+// attempts) parses a stored line.
+//
 // Durability discipline:
-//   * every save() writes the whole file to `<path>.tmp` and renames it
-//     into place — a kill mid-save leaves the previous checkpoint intact;
+//   * every save() writes those cached bytes to `<path>.tmp` and renames
+//     it into place — a kill mid-save leaves the previous checkpoint
+//     intact;
 //   * every record carries an fnv1a64 checksum over its body rendering;
 //     load() drops records whose line is torn (unparseable) or whose
 //     checksum disagrees, and reports how many it dropped — those shards
@@ -64,32 +71,34 @@ class SurveyCheckpoint {
   /// the result — bookkeeping for the degraded-mode report, not identity.
   void record_shard(const ShardRunResult& result, int attempts = 1);
   /// Rebuilds the recorded shard's results (log via the measurement
-  /// codec, metrics via the from_json restore contract). Throws
-  /// std::out_of_range when the shard is not recorded.
+  /// codec, metrics via the from_json restore contract) by parsing its
+  /// stored line. Throws std::out_of_range when the shard is not recorded.
   ShardRunResult restore_shard(std::size_t shard) const;
+  /// The recorded shard's retry count (parses its stored line).
   int attempts(std::size_t shard) const;
 
   /// Serializes to JSONL text (header line first, shard records in
-  /// ascending shard order, each carrying its body checksum).
+  /// ascending shard order, each carrying its body checksum) by
+  /// concatenating the stored lines.
   std::string serialize() const;
   /// Atomically (tmp + rename) writes serialize() to `path`.
   void save(const std::string& path) const;
 
   /// Parses checkpoint JSONL, dropping torn lines and checksum-failed
-  /// records (counted in torn_records()). A missing file loads as an
-  /// empty checkpoint — resume from nothing is a plain run.
+  /// records (counted in torn_records()), and stores each accepted record
+  /// in its canonical rendering. A missing file loads as an empty
+  /// checkpoint — resume from nothing is a plain run.
   static SurveyCheckpoint load(const std::string& path);
   /// Records dropped by load() because they were torn or corrupt — the
   /// shards that will re-run.
   std::size_t torn_records() const { return torn_; }
 
  private:
-  struct ShardRecord {
-    report::Json body;  ///< {"shard":..,"attempts":..,"end":..,"log":[..],"metrics":[..]}
-  };
-
   std::optional<Header> header_;
-  std::map<std::size_t, ShardRecord> shards_;
+  /// shard -> its rendered line (no newline):
+  /// {"type":"shard_done","shard":..,"crc":..,"body":{"shard":..,"attempts":..,
+  ///  "end":..,"log":[..],"metrics":[..]}}
+  std::map<std::size_t, std::string> shards_;
   std::size_t torn_{0};
 };
 

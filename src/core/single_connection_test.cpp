@@ -22,7 +22,8 @@ std::string SingleConnectionTest::name() const {
   return options_.reversed_order ? "single-connection" : "single-connection-inorder";
 }
 
-/// Per-run state machine; kept alive by shared_ptr captures until done.
+/// Per-run state machine; kept alive by shared_ptr captures until done,
+/// then freed (see release()).
 struct SingleConnectionTest::Run : std::enable_shared_from_this<SingleConnectionTest::Run> {
   enum class Phase { kConnect, kResync, kResyncSettle, kPrep, kPrepSettle, kMeasure, kDone };
 
@@ -304,6 +305,7 @@ struct SingleConnectionTest::Run : std::enable_shared_from_this<SingleConnection
     cancel_timer();
     result.aggregate();
     auto complete = [self = shared_from_this()] {
+      self->release();
       auto cb = std::move(self->done);
       self->done = nullptr;
       if (cb) cb(std::move(self->result));
@@ -315,6 +317,18 @@ struct SingleConnectionTest::Run : std::enable_shared_from_this<SingleConnection
       if (conn) conn->abort();
       complete();
     }
+  }
+
+  /// The run owns conn and conn->on_packet holds the run: dropping the
+  /// hook breaks that cycle, so the run and its connection are freed once
+  /// this event lets go of them. Deferred because finish() can run inside
+  /// the hook (a reset abandons the run), and a std::function must not be
+  /// destroyed while it runs. Scheduled before the done-callback, so it
+  /// runs ahead of anything the callback schedules for the same instant.
+  void release() {
+    env().schedule(util::Duration{}, [self = shared_from_this()] {
+      if (self->conn) self->conn->on_packet = nullptr;
+    });
   }
 };
 

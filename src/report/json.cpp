@@ -38,7 +38,9 @@ void dump_string(const std::string& s, std::string& out) {
 
 void dump_number(double d, std::string& out) {
   if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 9.0e15) {
-    out += std::to_string(static_cast<std::int64_t>(d));
+    char buf[24];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, static_cast<std::int64_t>(d));
+    out.append(buf, end);
     return;
   }
   if (!std::isfinite(d)) {  // JSON has no inf/nan; emit null
@@ -52,9 +54,17 @@ void dump_number(double d, std::string& out) {
 
 // ------------------------------------------------------------- parsing
 
+/// Deepest array/object nesting parse() accepts. Every document this
+/// repo writes nests fewer than ten levels; the bound keeps the recursive
+/// descent (and the recursive destructor of what it built) within a few
+/// hundred stack frames whatever the input, so hostile nesting is
+/// malformed input rather than a stack overflow.
+constexpr int kMaxDepth = 256;
+
 struct Parser {
   std::string_view text;
   std::size_t pos{0};
+  int depth{0};
 
   void skip_ws() {
     while (pos < text.size() && std::isspace(static_cast<unsigned char>(text[pos]))) ++pos;
@@ -80,8 +90,13 @@ struct Parser {
       case 't': return match("true") ? std::optional<Json>{Json{true}} : std::nullopt;
       case 'f': return match("false") ? std::optional<Json>{Json{false}} : std::nullopt;
       case '"': return string_value();
-      case '[': return array_value();
-      case '{': return object_value();
+      case '[':
+      case '{': {
+        if (++depth > kMaxDepth) return std::nullopt;
+        auto v = text[pos] == '[' ? array_value() : object_value();
+        --depth;
+        return v;
+      }
       default: return number_value();
     }
   }
@@ -290,37 +305,41 @@ const std::vector<std::pair<std::string, Json>>& Json::members() const {
 
 std::string Json::dump() const {
   std::string out;
+  dump_to(out);
+  return out;
+}
+
+void Json::dump_to(std::string& out) const {
   switch (type()) {
-    case Type::kNull: out = "null"; break;
-    case Type::kBool: out = as_bool() ? "true" : "false"; break;
+    case Type::kNull: out += "null"; break;
+    case Type::kBool: out += as_bool() ? "true" : "false"; break;
     case Type::kNumber: dump_number(as_double(), out); break;
     case Type::kString: dump_string(as_string(), out); break;
     case Type::kArray: {
-      out = "[";
+      out += '[';
       bool first = true;
       for (const auto& v : items()) {
         if (!first) out += ',';
         first = false;
-        out += v.dump();
+        v.dump_to(out);
       }
       out += ']';
       break;
     }
     case Type::kObject: {
-      out = "{";
+      out += '{';
       bool first = true;
       for (const auto& [k, v] : members()) {
         if (!first) out += ',';
         first = false;
         dump_string(k, out);
         out += ':';
-        out += v.dump();
+        v.dump_to(out);
       }
       out += '}';
       break;
     }
   }
-  return out;
 }
 
 std::optional<Json> Json::parse(std::string_view text) {

@@ -83,8 +83,12 @@ class Json {
 
   /// Compact single-line rendering (stable member order).
   std::string dump() const;
+  /// Appends dump()'s rendering to `out`: nested values render straight
+  /// into the one buffer instead of through a string per level.
+  void dump_to(std::string& out) const;
 
-  /// Parses one JSON document; empty on malformed input or trailing junk.
+  /// Parses one JSON document; empty on malformed input, trailing junk,
+  /// or arrays/objects nested more than 256 deep.
   static std::optional<Json> parse(std::string_view text);
 
  private:

@@ -45,6 +45,13 @@ AtomicJsonlFile::~AtomicJsonlFile() {
   std::remove(tmp_path_.c_str());
 }
 
+void AtomicJsonlFile::write_text(std::string_view text) {
+  out_->write(text.data(), static_cast<std::streamsize>(text.size()));
+  if (!*out_) {
+    throw std::runtime_error{"AtomicJsonlFile: write failed for " + tmp_path_};
+  }
+}
+
 void AtomicJsonlFile::commit() {
   if (committed_) {
     throw std::runtime_error{"AtomicJsonlFile: already committed " + path_};

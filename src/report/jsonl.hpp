@@ -6,6 +6,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "report/json.hpp"
@@ -55,6 +56,10 @@ class AtomicJsonlFile {
   AtomicJsonlFile& operator=(const AtomicJsonlFile&) = delete;
 
   JsonlWriter& writer() { return writer_; }
+  /// Appends already-rendered JSONL (whole lines, each ending in '\n')
+  /// to the tmp file verbatim. Throws std::runtime_error when the stream
+  /// went bad.
+  void write_text(std::string_view text);
   const std::string& path() const { return path_; }
   const std::string& tmp_path() const { return tmp_path_; }
 

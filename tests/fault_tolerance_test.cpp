@@ -19,6 +19,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -272,6 +273,93 @@ TEST(Checkpoint, SerializeLoadRoundTripsAndChecksumGuardsEveryRecord) {
   std::remove(path.c_str());
   EXPECT_EQ(corrupted.completed_count(), 1u);
   EXPECT_EQ(corrupted.torn_records(), 1u);
+}
+
+// Each record is rendered once, at record time, and saved as those cached
+// bytes. Pin them to what the record renders to as a Json tree — type,
+// shard, crc, body, with the body's metric records parsed back from the
+// engine's own emission — over the awkward corners of the encoding: a uid
+// past 2^53 (rendered as a u64 string), non-integer doubles (the shard's
+// reordering rates), and a note holding a quote, a newline and a control
+// byte.
+TEST(Checkpoint, StoredRecordIsTheTreeRenderingAndSaveWritesIt) {
+  const ShardedSurveyEngine engine{sharded(3)};
+  ShardRunResult result = engine.run_shard(1, quick_run(), kRounds, Duration::millis(500));
+  ASSERT_FALSE(result.log.empty());
+  ASSERT_FALSE(result.log[0].result.samples.empty());
+  constexpr std::uint64_t kBigUid = (1ull << 53) + 8;
+  result.log[0].result.samples[0].fwd_uid_first = kBigUid;
+  result.log[0].result.note = "quote \" newline \n control \x01 end";
+
+  SurveyCheckpoint cp;
+  cp.record_shard(result, 2);
+
+  report::Json end = report::Json::object();
+  end.set("targets", report::Json::u64(result.end.targets));
+  end.set("rounds", result.end.rounds);
+  end.set("measurements", report::Json::u64(result.end.measurements));
+  end.set("at_ns", result.end.at.ns());
+  report::Json log = report::Json::array();
+  for (const Measurement& m : result.log) log.push(measurement_to_json(m));
+  std::ostringstream emitted;
+  report::JsonlWriter writer{emitted};
+  result.metrics.emit_jsonl(writer, metrics::MetricEngine::EmitOrder::kCanonical);
+  report::Json records = report::Json::array();
+  for (report::Json& rec : report::read_jsonl_text(emitted.str())) records.push(std::move(rec));
+  ASSERT_GT(records.size(), 0u);
+  report::Json body = report::Json::object();
+  body.set("shard", report::Json::u64(result.shard));
+  body.set("attempts", 2);
+  body.set("end", std::move(end));
+  body.set("log", std::move(log));
+  body.set("metrics", std::move(records));
+  char crc[17];
+  std::snprintf(crc, sizeof crc, "%016llx",
+                static_cast<unsigned long long>(util::fnv1a64(body.dump())));
+  report::Json line = report::Json::object();
+  line.set("type", "shard_done");
+  line.set("shard", report::Json::u64(result.shard));
+  line.set("crc", crc);
+  line.set("body", std::move(body));
+  const std::string expected = line.dump() + "\n";
+  ASSERT_NE(expected.find("\"fwd_uid_first\":\"9007199254741000\""), std::string::npos);
+  ASSERT_NE(expected.find("control \\u0001 end"), std::string::npos);
+  ASSERT_NE(expected.find("\"rate\":0.0"), std::string::npos) << "a non-integer metric rate";
+  EXPECT_EQ(cp.serialize(), expected);
+
+  cp.set_header({3, 6, kRounds, 7});
+  const std::string path = "/tmp/reorder_ckpt_golden.jsonl";
+  cp.save(path);
+  std::string written;
+  {
+    std::ifstream in{path, std::ios::binary};
+    written.assign(std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{});
+  }
+  const SurveyCheckpoint loaded = SurveyCheckpoint::load(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(written, cp.serialize());
+  EXPECT_EQ(loaded.torn_records(), 0u);
+  EXPECT_EQ(loaded.serialize(), cp.serialize());
+  EXPECT_EQ(loaded.restore_shard(1).log[0].result.samples[0].fwd_uid_first, kBigUid);
+  EXPECT_EQ(loaded.restore_shard(1).log[0].result.note, result.log[0].result.note);
+}
+
+// A line of nested brackets is hostile input, not a record: the parser
+// bounds its nesting, so the line is torn and dropped, never a stack
+// overflow, and the header beside it survives.
+TEST(Checkpoint, DeeplyNestedLineLoadsAsOneTornRecord) {
+  SurveyCheckpoint header_only;
+  header_only.set_header({3, 6, kRounds, 7});
+  const std::string path = "/tmp/reorder_ckpt_nested.jsonl";
+  {
+    std::ofstream out{path, std::ios::trunc};
+    out << header_only.serialize() << std::string(120'000, '[') << '\n';
+  }
+  const SurveyCheckpoint cp = SurveyCheckpoint::load(path);
+  std::remove(path.c_str());
+  EXPECT_TRUE(cp.header().has_value());
+  EXPECT_EQ(cp.completed_count(), 0u);
+  EXPECT_EQ(cp.torn_records(), 1u);
 }
 
 TEST(Checkpoint, MissingFileLoadsEmpty) {

@@ -83,6 +83,68 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_FALSE(Json::parse("\"\\u12x4\"").has_value());
 }
 
+TEST(Json, ParseRejectsNestingPastTheDepthLimit) {
+  // Hostile nesting is malformed input, not a stack overflow.
+  EXPECT_FALSE(Json::parse(std::string(50'000, '[')).has_value());
+  EXPECT_FALSE(Json::parse(std::string(50'000, '[') + std::string(50'000, ']')).has_value());
+  std::string objects;
+  for (int i = 0; i < 50'000; ++i) objects += "{\"a\":";
+  EXPECT_FALSE(Json::parse(objects).has_value());
+  // The limit is 256 levels: that deep still parses, one deeper does not.
+  const auto deepest = Json::parse(std::string(256, '[') + std::string(256, ']'));
+  ASSERT_TRUE(deepest.has_value());
+  EXPECT_EQ(deepest->dump(), std::string(256, '[') + std::string(256, ']'));
+  EXPECT_FALSE(Json::parse(std::string(257, '[') + std::string(257, ']')).has_value());
+  // Siblings do not add up: depth is nesting, not the number of containers.
+  std::string wide = "[";
+  for (int i = 0; i < 1000; ++i) wide += std::string(200, '[') + std::string(200, ']') + ",";
+  wide += "0]";
+  EXPECT_TRUE(Json::parse(wide).has_value());
+}
+
+/// A 24-level fixture alternating arrays and objects, with every scalar
+/// kind at each level, and its expected rendering spelled out by hand.
+std::pair<Json, std::string> deep_mixed_fixture() {
+  Json value = Json::u64((1ull << 53) + 1);
+  std::string text = "\"9007199254740993\"";
+  for (int level = 0; level < 24; ++level) {
+    const std::string n = std::to_string(level);
+    if (level % 2 == 0) {
+      Json arr = Json::array();
+      arr.push(std::move(value)).push(level).push(-0.25).push(Json{}).push(true).push(Json::array());
+      value = std::move(arr);
+      text = "[" + text + "," + n + ",-0.25,null,true,[]]";
+    } else {
+      Json obj = Json::object();
+      obj.set("k" + n, std::move(value));
+      obj.set("s", "q\"b\\n\nc\x01");
+      obj.set("d", 0.1);
+      obj.set("big", 1e300);
+      obj.set("e", Json::object());
+      value = std::move(obj);
+      text = "{\"k" + n + "\":" + text +
+             ",\"s\":\"q\\\"b\\\\n\\nc\\u0001\",\"d\":0.10000000000000001,"
+             "\"big\":1.0000000000000001e+300,\"e\":{}}";
+    }
+  }
+  return {std::move(value), std::move(text)};
+}
+
+TEST(Json, NestedDumpIsUnchangedOnADeepMixedFixture) {
+  const auto [fixture, expected] = deep_mixed_fixture();
+  EXPECT_EQ(fixture.dump(), expected);
+  const auto parsed = Json::parse(expected);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->dump(), expected);
+}
+
+TEST(Json, DumpToAppendsTheSameRendering) {
+  const auto [fixture, expected] = deep_mixed_fixture();
+  std::string out = "prefix:";
+  fixture.dump_to(out);
+  EXPECT_EQ(out, "prefix:" + expected);
+}
+
 TEST(Json, TypedAccessorsThrowOnMismatch) {
   EXPECT_THROW(Json{1.0}.as_string(), std::runtime_error);
   EXPECT_THROW(Json{"x"}.as_double(), std::runtime_error);

@@ -232,5 +232,41 @@ TEST(SingleConnDeep, RemoteConnectionIsClosedAfterRun) {
   EXPECT_EQ(bed.remote().active_connections(), 0u) << "polite close must tear down the remote";
 }
 
+// A finished run must not keep itself alive. The run owns its connection
+// and the connection's packet hook holds the run, so that cycle has to be
+// broken once the done-callback has fired. The connection's flow
+// registration is the visible witness: it is dropped exactly when the
+// connection, and so the run that owns it, is freed.
+TEST(SingleConnDeep, CompletedRunIsFreedAfterItsCallback) {
+  struct Case {
+    const char* name;
+    double forward_loss;
+    std::uint16_t port;  // 0 = the discard port the remote listens on
+  };
+  const Case cases[] = {
+      {"graceful close", 0.0, 0},
+      {"connect timed out", 1.0, 0},
+      {"connect reset by a closed port", 0.0, 1},
+  };
+  for (const Case& c : cases) {
+    TestbedConfig cfg;
+    cfg.seed = 111;
+    cfg.forward.loss_probability = c.forward_loss;
+    Testbed bed{cfg};
+    SingleConnectionOptions opts;
+    opts.connection.max_syn_retries = 1;
+    auto test = make_registered_test(bed.probe(), bed.remote_addr(),
+                                     TestSpec{"single-connection", c.port, opts});
+    TestRunConfig run;
+    run.samples = 3;
+    bool fired = false;
+    test->run(run, [&fired](TestRunResult) { fired = true; });
+    bed.loop().run();
+    ASSERT_TRUE(fired) << c.name;
+    EXPECT_EQ(bed.probe().registered_flows(), 0u)
+        << c.name << ": the completed run (and its connection) is still alive";
+  }
+}
+
 }  // namespace
 }  // namespace reorder::core

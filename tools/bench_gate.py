@@ -4,15 +4,22 @@
 Two subcommands:
 
   baseline <gbench.json> -o BENCH_baseline.json
-      Extracts per-benchmark medians (cpu_time, ns) from a google-benchmark
+      Extracts per-benchmark medians (ns) from a google-benchmark
       ``--benchmark_out`` JSON file into the small, stable baseline format
-      checked into the repo:
-          {"time_unit": "ns", "benchmarks": {"BM_Foo/1000": 123.4, ...}}
+      checked into the repo, recording which clock each entry holds:
+          {"time_unit": "ns",
+           "benchmarks": {"BM_Foo/1000": {"clock": "cpu_time", "ns": 123.4},
+                          "BM_Bar/real_time": {"clock": "real_time", "ns": 5.6}}}
+      A benchmark registered with UseRealTime (google-benchmark appends
+      ``/real_time`` to its name) does its work on other threads, so the
+      main thread's cpu_time would not see it: those entries hold
+      real_time. Every other entry holds cpu_time.
 
   check <BENCH_baseline.json> <gbench.json> [--max-regression 0.25]
                                             [--calibrate BM_A --calibrate BM_B]
-      Compares the current run's medians against the baseline and exits
-      non-zero if any benchmark present in both is more than
+      Compares the current run's medians, on the clock each baseline entry
+      records, against the baseline and exits non-zero if any benchmark
+      present in both is more than
       ``max_regression`` slower (1.25x by default). Benchmarks missing from
       either side are reported but do not fail the gate (renames should not
       brick CI); improvements are reported for the log.
@@ -38,8 +45,13 @@ import sys
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
+def clock_of(name):
+    """The clock a benchmark is gated on: real_time for UseRealTime ones."""
+    return "real_time" if name.endswith("/real_time") else "cpu_time"
+
+
 def _load_medians(path):
-    """name -> median cpu_time in ns from a google-benchmark JSON file.
+    """name -> median in ns of the benchmark's clock (see clock_of).
 
     Prefers explicit ``_median`` aggregates (present with
     --benchmark_repetitions); otherwise computes the median over the plain
@@ -51,12 +63,12 @@ def _load_medians(path):
     runs = {}
     for b in doc.get("benchmarks", []):
         unit = _UNIT_NS[b.get("time_unit", "ns")]
-        cpu_ns = float(b["cpu_time"]) * unit
         if b.get("run_type") == "aggregate":
             if b.get("aggregate_name") == "median":
-                aggregates[b["run_name"]] = cpu_ns
+                name = b["run_name"]
+                aggregates[name] = float(b[clock_of(name)]) * unit
         else:
-            runs.setdefault(b["name"], []).append(cpu_ns)
+            runs.setdefault(b["name"], []).append(float(b[clock_of(b["name"])]) * unit)
     if aggregates:
         return aggregates
     out = {}
@@ -73,7 +85,9 @@ def cmd_baseline(args):
     if not medians:
         print("no benchmark entries found", file=sys.stderr)
         return 1
-    doc = {"time_unit": "ns", "benchmarks": {k: round(v, 2) for k, v in sorted(medians.items())}}
+    doc = {"time_unit": "ns",
+           "benchmarks": {k: {"clock": clock_of(k), "ns": round(v, 2)}
+                          for k, v in sorted(medians.items())}}
     with open(args.output, "w") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
@@ -83,7 +97,13 @@ def cmd_baseline(args):
 
 def cmd_check(args):
     with open(args.baseline) as f:
-        baseline = json.load(f)["benchmarks"]
+        entries = json.load(f)["benchmarks"]
+    for name, entry in entries.items():
+        if entry["clock"] != clock_of(name):
+            print(f"baseline entry {name} holds {entry['clock']}, but the gate reads "
+                  f"{clock_of(name)} for it; regenerate the entry", file=sys.stderr)
+            return 2
+    baseline = {name: entry["ns"] for name, entry in entries.items()}
     current = _load_medians(args.gbench_json)
 
     scale = 1.0
