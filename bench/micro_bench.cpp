@@ -33,6 +33,8 @@
 #include "trace/analyzer.hpp"
 #include "util/buffer_pool.hpp"
 #include "util/checksum.hpp"
+#include "util/random.hpp"
+#include "util/shard_seeder.hpp"
 
 namespace {
 
@@ -568,19 +570,80 @@ namespace {
 // batched path amortizes over (one map/table lookup and one virtual
 // fan-in per run instead of per arrival); the scalar comparator
 // BM_ExactSequenceIngest feeds the same suite one arrival at a time.
+//
+// With `swap_p` > 0, adjacent arrivals inside a run swap with that
+// probability (a swapped pair is not swapped again), so reordering stays
+// within the run — the shape of interrupt-coalescing reordering.
 std::vector<ingest::ArrivalBatch> coalesced_batches(std::size_t flows, std::uint32_t packets,
-                                                    std::size_t run, std::size_t batch_capacity) {
+                                                    std::size_t run, std::size_t batch_capacity,
+                                                    double swap_p = 0.0) {
   std::vector<ingest::ArrivalBatch> out;
   ingest::ArrivalBatchBuilder builder{batch_capacity};
+  util::Rng rng{1008};
   std::vector<std::uint32_t> next(flows, 0);
+  std::vector<std::uint32_t> burst;
   bool more = true;
   while (more) {
     more = false;
     for (std::size_t f = 0; f < flows; ++f) {
-      for (std::size_t i = 0; i < run && next[f] < packets; ++i) {
-        if (builder.push(f + 1, next[f]++, 0)) out.push_back(builder.take());
+      burst.clear();
+      for (std::size_t i = 0; i < run && next[f] < packets; ++i) burst.push_back(next[f]++);
+      for (std::size_t k = 0; swap_p > 0.0 && k + 1 < burst.size(); ++k) {
+        if (rng.uniform01() < swap_p) {
+          std::swap(burst[k], burst[k + 1]);
+          ++k;
+        }
+      }
+      for (const std::uint32_t s : burst) {
+        if (builder.push(f + 1, s, 0)) out.push_back(builder.take());
       }
       more = more || next[f] < packets;
+    }
+  }
+  if (builder.size() > 0) out.push_back(builder.take());
+  return out;
+}
+
+/// Short-lived reordered flows: `flows` flows of 16 packets, 1024 live at
+/// a time, each step a run of 1-4 packets of a random live flow; inside a
+/// flow adjacent packets swap with probability 0.25.
+std::vector<ingest::ArrivalBatch> churn_batches(std::size_t flows, std::size_t batch_capacity) {
+  struct Live {
+    std::uint64_t id;
+    std::vector<std::uint32_t> seq;
+    std::size_t pos;
+  };
+  util::Rng rng{4737};
+  std::size_t started = 0;
+  const auto start_flow = [&] {
+    Live l{util::splitmix64(started++), std::vector<std::uint32_t>(16), 0};
+    for (std::uint32_t i = 0; i < l.seq.size(); ++i) l.seq[i] = i;
+    for (std::size_t i = 0; i + 1 < l.seq.size(); ++i) {
+      if (rng.uniform01() < 0.25) {
+        std::swap(l.seq[i], l.seq[i + 1]);
+        ++i;
+      }
+    }
+    return l;
+  };
+  std::vector<Live> live;
+  while (live.size() < 1024 && started < flows) live.push_back(start_flow());
+  std::vector<ingest::ArrivalBatch> out;
+  ingest::ArrivalBatchBuilder builder{batch_capacity};
+  while (!live.empty()) {
+    const std::size_t slot = rng.below(live.size());
+    Live& l = live[slot];
+    const std::size_t run = std::min<std::size_t>(1 + rng.below(4), l.seq.size() - l.pos);
+    for (std::size_t k = 0; k < run; ++k) {
+      if (builder.push(l.id, l.seq[l.pos++], 0)) out.push_back(builder.take());
+    }
+    if (l.pos == l.seq.size()) {
+      if (started < flows) {
+        l = start_flow();
+      } else {
+        l = std::move(live.back());
+        live.pop_back();
+      }
     }
   }
   if (builder.size() > 0) out.push_back(builder.take());
@@ -613,6 +676,47 @@ void BM_BatchedObserve(benchmark::State& state) {
   state.SetItemsProcessed(arrivals);
 }
 BENCHMARK(BM_BatchedObserve)->ArgName("flows")->Arg(64)->Arg(4096);
+
+// BM_BatchedObserve's traffic with adjacent swaps (p = 0.05) inside each
+// run of 16: most 512-packet sequences carry a few reordered arrivals, so
+// the reordered-arrival step and the close-time inversion count run on
+// every flow, flushed every 512 rounds like the in-order twin.
+void BM_ReorderedObserve(benchmark::State& state) {
+  const std::size_t flows = static_cast<std::size_t>(state.range(0));
+  const std::vector<ingest::ArrivalBatch> batches = coalesced_batches(
+      flows, /*packets=*/512, /*run=*/16, /*batch_capacity=*/1024, /*swap_p=*/0.05);
+  ingest::SequenceEngine engine;
+  std::size_t b = 0;
+  std::int64_t arrivals = 0;
+  for (auto _ : state) {
+    engine.ingest_batch(batches[b]);
+    arrivals += static_cast<std::int64_t>(batches[b].size());
+    if (++b == batches.size()) {
+      b = 0;
+      engine.flush();
+    }
+  }
+  state.SetItemsProcessed(arrivals);
+}
+BENCHMARK(BM_ReorderedObserve)->ArgName("flows")->Arg(4096);
+
+// Flow churn, cold: a fresh SequenceEngine takes 100k short reordered
+// flows (flow creation and index growth), closes them all, and folds them
+// into the {"type":"sequences"} JSON — one whole pass per iteration.
+void BM_ChurnFold(benchmark::State& state) {
+  const std::vector<ingest::ArrivalBatch> batches =
+      churn_batches(static_cast<std::size_t>(state.range(0)), /*batch_capacity=*/1024);
+  std::int64_t arrivals = 0;
+  for (auto _ : state) {
+    ingest::SequenceEngine engine;
+    for (const ingest::ArrivalBatch& batch : batches) engine.ingest_batch(batch);
+    engine.flush();
+    benchmark::DoNotOptimize(engine.to_json());
+    arrivals += static_cast<std::int64_t>(engine.arrivals());
+  }
+  state.SetItemsProcessed(arrivals);
+}
+BENCHMARK(BM_ChurnFold)->ArgName("flows")->Arg(100000)->Unit(benchmark::kMillisecond);
 
 // The whole subsystem end to end: producer thread renders the coalesced
 // stream into batches, SPSC ring, consumer thread drains the batched

@@ -205,21 +205,17 @@ void ParallelIngestPipeline::flush() {
 }
 
 metrics::MetricSuite ParallelIngestPipeline::merged_sequences() const {
-  // Re-interleave the disjoint shard flow sets into one ascending global
-  // order and replay SequenceEngine::merged()'s exact fold: a fresh
-  // factory suite, merging an end_sequence()'d copy of every flow's suite.
-  std::vector<std::pair<std::uint64_t, const SequenceEngine*>> all;
+  // The shards' flow sets are disjoint, so SequenceEngine::fold over all
+  // of them replays one engine's merged() fold in the same global order.
+  std::vector<std::pair<std::uint64_t, const SequenceEngine::Flow*>> all;
+  std::size_t total = 0;
+  for (const SequenceEngine& seq : sequence_shards_) total += seq.flow_count();
+  all.reserve(total);
   for (const SequenceEngine& seq : sequence_shards_) {
-    for (const std::uint64_t flow : seq.flow_ids()) all.emplace_back(flow, &seq);
+    for (const SequenceEngine::Flow& flow : seq.flows()) all.emplace_back(flow.id, &flow);
   }
-  std::sort(all.begin(), all.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   metrics::MetricSuite out = suite_factory_();
-  for (const auto& [flow, seq] : all) {
-    metrics::MetricSuite copy = seq->flow_suite(flow)->snapshot();
-    copy.end_sequence();
-    out.merge(copy);
-  }
+  SequenceEngine::fold(out, all);
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -23,79 +24,134 @@ metrics::MetricSuite SequenceEngine::default_suite() {
 SequenceEngine::SequenceEngine(SuiteFactory factory)
     : factory_{factory ? std::move(factory) : &SequenceEngine::default_suite} {}
 
+std::size_t SequenceEngine::probe(std::uint64_t flow) const {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = home(flow);
+  while (index_[i].flow != kEmpty && index_[i].id != flow) i = (i + 1) & mask;
+  return i;
+}
+
+std::uint32_t SequenceEngine::resolve(std::uint64_t flow) {
+  std::size_t i = probe(flow);
+  if (index_[i].flow != kEmpty) return index_[i].flow;
+  if (flows_.size() >= kEmpty) throw std::length_error{"SequenceEngine: too many flows"};
+  if (2 * (flows_.size() + 1) > index_.size()) {
+    grow_index();
+    i = probe(flow);
+  }
+  const auto position = static_cast<std::uint32_t>(flows_.size());
+  flows_.push_back(Flow{flow, false, factory_()});
+  index_[i] = Slot{flow, position};
+  return position;
+}
+
+void SequenceEngine::grow_index() {
+  std::vector<Slot> old(index_.size() * 2, Slot{0, kEmpty});
+  old.swap(index_);
+  --shift_;
+  const std::size_t mask = index_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.flow == kEmpty) continue;
+    std::size_t i = home(slot.id);
+    while (index_[i].flow != kEmpty) i = (i + 1) & mask;
+    index_[i] = slot;
+  }
+}
+
 void SequenceEngine::observe(std::uint64_t flow, std::uint32_t send_index) {
-  auto it = flows_.find(flow);
-  if (it == flows_.end()) it = flows_.emplace(flow, factory_()).first;
+  Flow& f = flows_[resolve(flow)];
   ++arrivals_;
-  it->second.observe_arrival(send_index);
+  f.open = true;
+  f.suite.observe_arrival(send_index);
 }
 
 void SequenceEngine::observe_run(std::uint64_t flow, const std::uint32_t* send_indices,
                                  std::size_t count) {
   if (count == 0) return;
-  auto it = flows_.find(flow);
-  if (it == flows_.end()) it = flows_.emplace(flow, factory_()).first;
+  Flow& f = flows_[resolve(flow)];
   arrivals_ += count;
-  it->second.observe_arrivals(send_indices, count);
+  f.open = true;
+  f.suite.observe_arrivals(send_indices, count);
 }
 
 void SequenceEngine::ingest_batch(const ArrivalBatch& batch) {
   // Two phases so the per-flow state misses overlap instead of
-  // serializing: resolve every run's suite first — issuing prefetches
-  // for the metric objects behind it — then observe. On wide flow sets
+  // serializing: resolve every run's flow first — issuing prefetches for
+  // the metric objects behind it — then observe. On wide flow sets
   // (thousands of flows, state long evicted) the observe loop then runs
-  // against lines already in flight, which is most of the batched
-  // speedup beyond the amortized lookup itself.
+  // against lines already in flight, which is most of the batched speedup
+  // beyond the amortized lookup itself. Runs keep positions, not
+  // pointers: a new flow can move flows_ mid-batch (the metric objects
+  // the prefetches name are heap-owned and stay put).
   scratch_.clear();
   batch.for_each_run([this](const ArrivalBatch::Run& run) {
-    auto it = flows_.find(run.flow);
-    if (it == flows_.end()) it = flows_.emplace(run.flow, factory_()).first;
+    const std::uint32_t flow = resolve(run.flow);
     arrivals_ += run.count;
-    it->second.prefetch();
-    scratch_.push_back(ResolvedRun{&it->second, run.send, run.count});
+    flows_[flow].suite.prefetch();
+    scratch_.push_back(ResolvedRun{flow, run.send, run.count});
   });
   // Second prefetch stage: the suites' object headers are in flight from
   // phase one, so their tail-state addresses can now be hinted too.
-  for (const ResolvedRun& run : scratch_) run.suite->prefetch_state();
+  for (const ResolvedRun& run : scratch_) flows_[run.flow].suite.prefetch_state();
   for (const ResolvedRun& run : scratch_) {
-    run.suite->observe_arrivals(run.send, run.count);
+    Flow& f = flows_[run.flow];
+    f.open = true;
+    f.suite.observe_arrivals(run.send, run.count);
   }
 }
 
 void SequenceEngine::end_flow(std::uint64_t flow) {
-  const auto it = flows_.find(flow);
-  if (it != flows_.end()) it->second.end_sequence();
+  const std::uint32_t position = index_[probe(flow)].flow;
+  if (position == kEmpty) return;
+  Flow& f = flows_[position];
+  if (!f.open) return;
+  f.suite.end_sequence();
+  f.open = false;
 }
 
 void SequenceEngine::flush() {
-  for (auto& [flow, suite] : flows_) suite.end_sequence();
+  for (Flow& f : flows_) {
+    if (!f.open) continue;
+    f.suite.end_sequence();
+    f.open = false;
+  }
+}
+
+void SequenceEngine::fold(metrics::MetricSuite& out,
+                          std::vector<std::pair<std::uint64_t, const Flow*>>& flows) {
+  std::sort(flows.begin(), flows.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [id, flow] : flows) {
+    if (flow->open) {
+      metrics::MetricSuite copy = flow->suite.snapshot();
+      copy.end_sequence();
+      out.merge(copy);
+    } else {
+      out.merge(flow->suite);
+    }
+  }
 }
 
 metrics::MetricSuite SequenceEngine::merged() const {
-  std::vector<std::uint64_t> ids;
-  ids.reserve(flows_.size());
-  for (const auto& [flow, suite] : flows_) ids.push_back(flow);
-  std::sort(ids.begin(), ids.end());
+  std::vector<std::pair<std::uint64_t, const Flow*>> order;
+  order.reserve(flows_.size());
+  for (const Flow& f : flows_) order.emplace_back(f.id, &f);
   metrics::MetricSuite out = factory_();
-  for (const std::uint64_t flow : ids) {
-    metrics::MetricSuite copy = flows_.at(flow).snapshot();
-    copy.end_sequence();
-    out.merge(copy);
-  }
+  fold(out, order);
   return out;
 }
 
 std::vector<std::uint64_t> SequenceEngine::flow_ids() const {
   std::vector<std::uint64_t> ids;
   ids.reserve(flows_.size());
-  for (const auto& [flow, suite] : flows_) ids.push_back(flow);
+  for (const Flow& f : flows_) ids.push_back(f.id);
   std::sort(ids.begin(), ids.end());
   return ids;
 }
 
 const metrics::MetricSuite* SequenceEngine::flow_suite(std::uint64_t flow) const {
-  const auto it = flows_.find(flow);
-  return it == flows_.end() ? nullptr : &it->second;
+  const std::uint32_t position = index_[probe(flow)].flow;
+  return position == kEmpty ? nullptr : &flows_[position].suite;
 }
 
 report::Json SequenceEngine::to_json() const {

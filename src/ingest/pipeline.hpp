@@ -19,7 +19,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ingest/arrival_batch.hpp"
@@ -41,13 +41,27 @@ enum class Backpressure {
 /// The exact per-flow sequence analytics on the consumer side of the
 /// ring: one metrics::MetricSuite per flow id, fed through the batched
 /// observe_arrivals() span path (scalar observe() is the bit-exactness
-/// comparator the tests drive). Snapshot/merge discipline matches the
-/// other engines: merged() folds flush-closed copies of every flow's
-/// suite in sorted-key order, so the JSON is byte-stable regardless of
-/// hash-map iteration order.
+/// comparator the tests drive).
+///
+/// Flows live in one dense vector in first-arrival order, each with an
+/// `open` bit (observed since its sequence last closed), found through an
+/// open-addressing index of (id, position) slots probed from the high bits
+/// of a multiplicative hash — independent of the splitmix64 low bits
+/// shard_of() uses, which are constant within one shard. Memory and work
+/// grow with flows and arrivals only. flush() touches only open flows;
+/// merged() folds in ascending flow-id order, so the JSON is byte-stable
+/// whatever the arrival order, and merges a closed suite as it is: only an
+/// open one goes through an end_sequence()'d snapshot.
 class SequenceEngine {
  public:
   using SuiteFactory = std::function<metrics::MetricSuite()>;
+
+  /// One flow's state.
+  struct Flow {
+    std::uint64_t id;
+    bool open;  ///< observed since its sequence last closed
+    metrics::MetricSuite suite;
+  };
 
   /// The line-rate default: sequence_extent + n_reordering (the
   /// O(log n)-per-arrival pair; the density metrics are survey-side).
@@ -55,46 +69,70 @@ class SequenceEngine {
 
   explicit SequenceEngine(SuiteFactory factory = {});
 
-  /// Scalar path: one arrival on `flow` (one map lookup per arrival).
+  /// Scalar path: one arrival on `flow` (one index probe per arrival).
   void observe(std::uint64_t flow, std::uint32_t send_index);
-  /// Batched path: a run of consecutive same-flow arrivals (one map
-  /// lookup and one virtual fan-in per member per run).
+  /// Batched path: a run of consecutive same-flow arrivals (one index
+  /// probe and one virtual fan-in per member per run).
   void observe_run(std::uint64_t flow, const std::uint32_t* send_indices, std::size_t count);
   /// Splits a batch into maximal same-flow runs through observe_run().
   void ingest_batch(const ArrivalBatch& batch);
   /// Closes `flow`'s open sequence (the suite stays, ready for more).
   void end_flow(std::uint64_t flow);
-  /// Closes every flow's open sequence.
+  /// Closes every open flow's sequence.
   void flush();
 
   std::uint64_t arrivals() const { return arrivals_; }
   std::size_t flow_count() const { return flows_.size(); }
 
-  /// The fold of every flow's suite, each end_sequence()'d as a copy, in
-  /// ascending flow-id order (deterministic bytes).
+  /// The fold of every flow's suite, each closed, in ascending flow-id
+  /// order (deterministic bytes).
   metrics::MetricSuite merged() const;
 
-  /// Every live flow id, ascending — merged()'s fold order, exposed so the
-  /// parallel pipeline can interleave N disjoint shards into the same
-  /// global order (the bit-identity argument needs the fold sequence, not
-  /// just the per-flow states, to match the single engine's).
+  /// Every flow, in first-arrival order.
+  const std::vector<Flow>& flows() const { return flows_; }
+  /// Every live flow id, ascending — merged()'s fold order.
   std::vector<std::uint64_t> flow_ids() const;
   /// The flow's live suite, or nullptr; no insertion.
   const metrics::MetricSuite* flow_suite(std::uint64_t flow) const;
   const SuiteFactory& factory() const { return factory_; }
 
+  /// merged()'s fold over any set of flows with distinct ids — the
+  /// parallel pipeline passes every shard's, so its bytes match one
+  /// engine's: sorts `flows` by id, then merges each suite into `out`,
+  /// a closed one directly and an open one as an end_sequence()'d
+  /// snapshot.
+  static void fold(metrics::MetricSuite& out,
+                   std::vector<std::pair<std::uint64_t, const Flow*>>& flows);
+
   /// {"arrivals":..,"flows":..,"metrics":{<merged suite>}}
   report::Json to_json() const;
 
  private:
+  struct Slot {
+    std::uint64_t id;
+    std::uint32_t flow;  ///< position in flows_, or kEmpty
+  };
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
   struct ResolvedRun {
-    metrics::MetricSuite* suite;
+    std::uint32_t flow;  ///< a position, not a pointer: flows_ may grow
     const std::uint32_t* send;
     std::size_t count;
   };
 
+  /// The flow's position in flows_, creating it on first sight.
+  std::uint32_t resolve(std::uint64_t flow);
+  /// The index slot holding `flow`, or the empty slot where it would go.
+  std::size_t probe(std::uint64_t flow) const;
+  std::size_t home(std::uint64_t flow) const {
+    return static_cast<std::size_t>((flow * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+  void grow_index();
+
   SuiteFactory factory_;
-  std::unordered_map<std::uint64_t, metrics::MetricSuite> flows_;
+  std::vector<Flow> flows_;
+  std::vector<Slot> index_ = std::vector<Slot>(16, Slot{0, kEmpty});  ///< at most half full
+  unsigned shift_{60};  ///< 64 - log2(index_.size())
   std::vector<ResolvedRun> scratch_;  ///< ingest_batch working set, reused
   std::uint64_t arrivals_{0};
 };

@@ -6,8 +6,12 @@
 // one-pass online accumulator with an associative, exactly-mergeable
 // snapshot. The contract every implementation must honor:
 //
-//   * observe*() is one-pass: O(1) or O(log n) per event, never a replay
-//     of stored raw samples at query time;
+//   * observe*() is one-pass: O(1) or amortized O(log n) per event, never
+//     a replay of stored raw samples at query time. A sequence metric may
+//     settle a quantity once per sequence, at end_sequence(), over that
+//     sequence's own arrivals (SequenceExtentMetric's inversions), so its
+//     accessors report closed sequences and its open state is bounded by
+//     the open sequence's arrivals, never by the values they carry;
 //   * merge() over snapshots of a partitioned stream is bit-identical to
 //     the single-pass batch result. Sample-level metrics merge exactly
 //     under ANY contiguous split of the sample stream; sequence-level
@@ -59,7 +63,8 @@ class Metric {
   virtual void observe_arrivals(const std::uint32_t* send_indices, std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) observe_arrival(send_indices[i]);
   }
-  /// Closes the current arrival sequence (sequence metrics only).
+  /// Closes the current arrival sequence (sequence metrics only), settling
+  /// whatever the metric counts per sequence.
   virtual void end_sequence() {}
 
   /// Hints the metric's mutable tail state (e.g. growing vectors' ends)

@@ -6,63 +6,74 @@
 
 namespace reorder::metrics {
 
-// -------------------------------------------------------- ArrivalCounter
+namespace {
 
-void ArrivalCounter::insert(std::uint32_t send_index) {
-  const std::size_t needed = static_cast<std::size_t>(send_index) + 2;  // 1-based
-  if (needed > tree_.size()) {
-    // Double the Fenwick and rebuild from the recorded frequencies (the
-    // tree itself is the only storage: rebuild by re-walking is O(M), and
-    // doubling keeps the amortized cost per record O(log M)).
-    std::size_t capacity = std::max<std::size_t>(64, tree_.size());
-    while (capacity < needed) capacity *= 2;
-    std::vector<std::uint64_t> freq(capacity, 0);
-    // Recover frequencies: freq[i] = prefix(i) - prefix(i-1).
-    std::uint64_t prev = 0;
-    for (std::size_t i = 1; i < tree_.size(); ++i) {
-      std::uint64_t prefix = 0;
-      for (std::size_t k = i; k > 0; k -= k & (~k + 1)) prefix += tree_[k];
-      freq[i] = prefix - prev;
-      prev = prefix;
-    }
-    tree_.assign(capacity, 0);
-    for (std::size_t i = 1; i < freq.size(); ++i) {
-      if (freq[i] == 0) continue;
-      for (std::size_t k = i; k < tree_.size(); k += k & (~k + 1)) tree_[k] += freq[i];
+/// Merges the adjacent nondecreasing runs v[lo, mid) and v[mid, hi) in
+/// place and returns how many pairs (left, right) have left > right. A
+/// left prefix at or below the right run's minimum, and a right suffix at
+/// or above the left run's maximum, are already in place and pair with
+/// nothing, so only the overlap between them is merged.
+std::uint64_t merge_runs(std::uint32_t* v, std::size_t lo, std::size_t mid, std::size_t hi,
+                         std::vector<std::uint32_t>& scratch) {
+  if (v[mid - 1] <= v[mid]) return 0;
+  lo = static_cast<std::size_t>(std::upper_bound(v + lo, v + mid, v[mid]) - v);
+  hi = static_cast<std::size_t>(std::lower_bound(v + mid, v + hi, v[mid - 1]) - v);
+  scratch.assign(v + lo, v + mid);
+  const std::size_t left = scratch.size();
+  std::uint64_t pairs = 0;
+  std::size_t i = 0;
+  std::size_t j = mid;
+  std::size_t out = lo;
+  while (i < left && j < hi) {
+    if (v[j] < scratch[i]) {
+      pairs += left - i;
+      v[out++] = v[j++];
+    } else {
+      v[out++] = scratch[i++];
     }
   }
-  for (std::size_t k = static_cast<std::size_t>(send_index) + 1; k < tree_.size();
-       k += k & (~k + 1)) {
-    ++tree_[k];
+  std::copy(scratch.begin() + static_cast<std::ptrdiff_t>(i), scratch.end(), v + out);
+  return pairs;
+}
+
+/// Pairs i < j with v[i] > v[j], counted by a bottom-up merge of v's
+/// maximal nondecreasing runs; sorts v. An in-order sequence is one run
+/// and costs one scan; k runs cost ceil(log2 k) merge rounds, each
+/// touching only the overlapping middles of its run pairs.
+std::uint64_t count_inversions_sorting(std::vector<std::uint32_t>& v) {
+  thread_local std::vector<std::size_t> bounds;
+  thread_local std::vector<std::uint32_t> scratch;
+  const std::size_t n = v.size();
+  bounds.clear();
+  bounds.push_back(0);
+  for (std::size_t i = 1; i < n; ++i) {
+    if (v[i] < v[i - 1]) bounds.push_back(i);
   }
+  bounds.push_back(n);
+  std::uint64_t pairs = 0;
+  std::size_t runs = bounds.size() - 1;
+  while (runs > 1) {
+    std::size_t kept = 0;
+    std::size_t k = 0;
+    for (; k + 2 <= runs; k += 2) {
+      pairs += merge_runs(v.data(), bounds[k], bounds[k + 1], bounds[k + 2], scratch);
+      bounds[kept++] = bounds[k];
+    }
+    if (k < runs) bounds[kept++] = bounds[k];
+    bounds[kept++] = n;
+    bounds.resize(kept);
+    runs = kept - 1;
+  }
+  return pairs;
 }
 
-std::uint64_t ArrivalCounter::count_above_slow(std::uint32_t send_index) {
-  // Materialize the deferred records first (first reordered arrival of a
-  // sequence pays the whole backlog once; after that it's incremental).
-  for (const std::uint32_t s : pending_) insert(s);
-  pending_.clear();
-  // total - (arrivals with send index <= send_index).
-  std::uint64_t at_or_below = 0;
-  std::size_t k = std::min(static_cast<std::size_t>(send_index) + 1,
-                           tree_.empty() ? 0 : tree_.size() - 1);
-  for (; k > 0; k -= k & (~k + 1)) at_or_below += tree_[k];
-  return total_ - at_or_below;
-}
-
-void ArrivalCounter::clear() {
-  tree_.clear();
-  pending_.clear();
-  total_ = 0;
-  max_seen_ = 0;
-}
+}  // namespace
 
 // -------------------------------------------------- SequenceExtentMetric
 
 void SequenceExtentMetric::observe_arrival(std::uint32_t send_index) {
-  open_ = true;
+  const std::uint64_t position = sent_.size();
   ++packets_;
-  inversions_ += counter_.count_above(send_index);
   if (!records_.empty() && records_.back().send_index > send_index) {
     // Reordered (RFC 4737 type-P-reordered): a larger send index already
     // arrived. The extent is the distance back to the earliest such
@@ -70,26 +81,25 @@ void SequenceExtentMetric::observe_arrival(std::uint32_t send_index) {
     const auto it = std::upper_bound(
         records_.begin(), records_.end(), send_index,
         [](std::uint32_t value, const Record& r) { return r.send_index > value; });
-    const auto extent = static_cast<std::uint32_t>(position_ - it->position);
+    const auto extent = static_cast<std::uint32_t>(position - it->position);
     ++reordered_;
     extent_sum_ += extent;
     max_extent_ = std::max(max_extent_, extent);
     extent_tail_.add(extent);
+    disordered_ = true;
   } else if (records_.empty() || send_index > records_.back().send_index) {
-    records_.push_back(Record{position_, send_index});
+    records_.push_back(Record{position, send_index});
   }
-  counter_.record(send_index);
-  ++position_;
+  sent_.push_back(send_index);
 }
 
 void SequenceExtentMetric::observe_arrivals(const std::uint32_t* send_indices,
                                             std::size_t count) {
   // The scalar recurrence, with its in-order case bulked. An arrival
-  // whose send index exceeds the running prefix maximum (records_.back(),
-  // which equals the counter's max) is exactly: not reordered, zero
-  // inversions added, one record appended, one counter record — so a
-  // strictly-increasing stretch above the maximum reduces to three bulk
-  // appends. Anything else falls back to the scalar step for that
+  // whose send index exceeds the running prefix maximum (records_.back())
+  // is exactly: not reordered, one record appended, one send index kept —
+  // so a strictly-increasing stretch above the maximum reduces to two
+  // bulk appends. Anything else falls back to the scalar step for that
   // arrival. Bit-exact by case analysis; the ingest equivalence tests
   // hold it to that over every scenario.
   std::size_t i = 0;
@@ -102,31 +112,30 @@ void SequenceExtentMetric::observe_arrivals(const std::uint32_t* send_indices,
     std::size_t j = i + 1;
     while (j < count && send_indices[j] > send_indices[j - 1]) ++j;
     const std::size_t len = j - i;
-    open_ = true;
+    const std::uint64_t position = sent_.size();
     const std::size_t base = records_.size();
     records_.resize(base + len);
     for (std::size_t t = 0; t < len; ++t) {
-      records_[base + t] = Record{position_ + t, send_indices[i + t]};
+      records_[base + t] = Record{position + t, send_indices[i + t]};
     }
-    counter_.record_ascending(send_indices + i, len);
+    sent_.insert(sent_.end(), send_indices + i, send_indices + j);
     packets_ += len;
-    position_ += len;
     i = j;
   }
 }
 
 void SequenceExtentMetric::prefetch_state() const {
   if (!records_.empty()) __builtin_prefetch(records_.data() + records_.size() - 1, 1);
-  counter_.prefetch_tail();
+  if (!sent_.empty()) __builtin_prefetch(sent_.data() + sent_.size() - 1, 1);
 }
 
 void SequenceExtentMetric::end_sequence() {
-  if (!open_) return;
+  if (sent_.empty()) return;
   ++sequences_;
+  if (disordered_) inversions_ += count_inversions_sorting(sent_);
   records_.clear();
-  counter_.clear();
-  position_ = 0;
-  open_ = false;
+  sent_.clear();
+  disordered_ = false;
 }
 
 std::unique_ptr<Metric> SequenceExtentMetric::snapshot() const {
@@ -135,7 +144,7 @@ std::unique_ptr<Metric> SequenceExtentMetric::snapshot() const {
 
 void SequenceExtentMetric::merge(const Metric& other) {
   const auto& o = expect<SequenceExtentMetric>(other, kName);
-  if (open_ || o.open_) {
+  if (!sent_.empty() || !o.sent_.empty()) {
     throw std::invalid_argument{"SequenceExtentMetric::merge: open sequence (call end_sequence)"};
   }
   packets_ += o.packets_;

@@ -3,10 +3,12 @@
 // measurement, trace capture, or TCP transfer is one sequence).
 //
 // Where core::analyze_sequence is the O(n^2) batch oracle, these are the
-// streaming production implementations: O(log n) per arrival, constant
-// state between arrivals, and exactly mergeable at sequence boundaries
-// (the engine closes the sequence at every measurement event, so shard
-// partitions never split one). The new metrics the literature asks for:
+// streaming production implementations: amortized O(log n) per arrival,
+// open-sequence state that grows with the arrivals observed (never with
+// the send-index values they carry, which a capture's sender picks), and
+// exactly mergeable at sequence boundaries (the engine closes the
+// sequence at every measurement event, so shard partitions never split
+// one). The new metrics the literature asks for:
 //
 //   * SequenceExtentMetric — RFC 4737 reordered ratio + reordering
 //     extents (max / mean / tail sketch) + inversions;
@@ -31,58 +33,19 @@
 
 namespace reorder::metrics {
 
-/// Shared helper: a Fenwick tree over send indices counting arrivals,
-/// grown on demand. count_above(s) is the number of recorded arrivals
-/// with send index > s — both RFC 5236's n and the inversion count.
-class ArrivalCounter {
- public:
-  /// O(1): buffers the index; the tree is only materialized when a query
-  /// actually needs it. Counts depend on the multiset of recorded
-  /// indices, not insertion order, so deferral is invisible.
-  void record(std::uint32_t send_index) {
-    pending_.push_back(send_index);
-    max_seen_ = std::max(max_seen_, send_index);
-    ++total_;
-  }
-  /// Bulk record of a strictly ascending run (caller's precondition; the
-  /// last element is then the run's maximum). Equivalent to `count`
-  /// record() calls.
-  void record_ascending(const std::uint32_t* send_indices, std::size_t count) {
-    if (count == 0) return;
-    pending_.insert(pending_.end(), send_indices, send_indices + count);
-    max_seen_ = std::max(max_seen_, send_indices[count - 1]);
-    total_ += count;
-  }
-  std::uint64_t count_above(std::uint32_t send_index) {
-    // In-order fast path: nothing recorded exceeds the running maximum,
-    // so querying at or above it is 0 without touching the tree — the
-    // common case of every in-order arrival. A fully in-order sequence
-    // never builds the tree at all.
-    if (total_ == 0 || send_index >= max_seen_) return 0;
-    return count_above_slow(send_index);
-  }
-  std::uint64_t total() const { return total_; }
-  void clear();
-  /// Prefetch hint for the append tail (see Metric::prefetch_state).
-  void prefetch_tail() const {
-    if (!pending_.empty()) __builtin_prefetch(pending_.data() + pending_.size() - 1, 1);
-  }
-
- private:
-  void insert(std::uint32_t send_index);
-  std::uint64_t count_above_slow(std::uint32_t send_index);
-
-  std::vector<std::uint64_t> tree_;       // 1-based Fenwick
-  std::vector<std::uint32_t> pending_;    // recorded, not yet in the tree
-  std::uint64_t total_{0};
-  std::uint32_t max_seen_{0};
-};
-
 /// RFC 4737 §4/§5: reordered ratio, reordering extents, inversions —
 /// streamed. A packet is reordered iff an earlier arrival carried a
 /// larger send index; its extent is the distance back (in arrivals) to
 /// the earliest such arrival, found by binary search over the running
 /// record (prefix-maxima) stack.
+///
+/// Inversions (pairs that arrived in the opposite order to their send
+/// order) are settled at end_sequence(): the open sequence keeps its send
+/// indices, and only a sequence with a reordered arrival pays one merge
+/// count over them, which skips merges whose halves are already in
+/// order — close to linear on the almost-sorted arrivals real paths
+/// produce. inversions() therefore reports closed sequences only; an open
+/// sequence's pairs join it when the sequence closes.
 class SequenceExtentMetric final : public Metric {
  public:
   static constexpr std::string_view kName = "sequence_extent";
@@ -112,6 +75,7 @@ class SequenceExtentMetric final : public Metric {
     return reordered_ == 0 ? 0.0
                            : static_cast<double>(extent_sum_) / static_cast<double>(reordered_);
   }
+  /// Over closed sequences; an open sequence's settle at end_sequence().
   std::uint64_t inversions() const { return inversions_; }
   std::uint64_t sequences() const { return sequences_; }
   const TailSketch& extent_tail() const { return extent_tail_; }
@@ -132,10 +96,9 @@ class SequenceExtentMetric final : public Metric {
   TailSketch extent_tail_;
 
   // Open-sequence state (must be closed before merge/snapshot compare).
-  std::vector<Record> records_;  ///< strictly increasing prefix maxima
-  ArrivalCounter counter_;
-  std::uint64_t position_{0};
-  bool open_{false};
+  std::vector<Record> records_;     ///< strictly increasing prefix maxima
+  std::vector<std::uint32_t> sent_;  ///< send indices in arrival order
+  bool disordered_{false};           ///< some arrival was reordered
 };
 
 /// RFC 5236 §4: the n-reordering density. For each arrival, n is the

@@ -3,9 +3,14 @@
 // RD / RBD density examples, all hand-checked.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <random>
 #include <vector>
 
 #include "metrics/sequence_metrics.hpp"
+#include "trace/analyzer.hpp"
 
 namespace reorder {
 namespace {
@@ -154,6 +159,95 @@ TEST(SequenceMetrics, PairStreamCollapsesToPairMetric) {
   EXPECT_EQ(extent.reordered(), 4u);
   EXPECT_EQ(extent.max_extent(), 1u);
   EXPECT_EQ(n.count_for(1), 4u);
+}
+
+// ------------------------------------------------ inversions vs oracle
+
+// The oracle is trace::count_inversions, the O(n^2) definition: pairs
+// that arrived in the opposite order to their send order (equal send
+// indices are not inverted).
+using trace::count_inversions;
+
+std::uint64_t streamed_inversions(const std::vector<std::uint32_t>& arrival) {
+  metrics::SequenceExtentMetric m;
+  observe_sequence(m, arrival);
+  return m.inversions();
+}
+
+TEST(SequenceExtentInversions, MatchOracleOnSeededSequencesWithDuplicates) {
+  std::mt19937_64 rng{20021106};
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = rng() % 300;
+    // A narrow value range forces duplicates; a wide one mostly avoids them.
+    const std::uint32_t range = trial % 2 == 0 ? 8 : 1u << 31;
+    std::vector<std::uint32_t> arrival(n);
+    for (std::uint32_t& s : arrival) s = static_cast<std::uint32_t>(rng() % range);
+    if (trial % 4 == 1) {
+      // Almost sorted: a few adjacent swaps over an ascending base.
+      std::sort(arrival.begin(), arrival.end());
+      for (std::size_t i = 0; i + 1 < n; ++i) {
+        if (rng() % 16 == 0) std::swap(arrival[i], arrival[i + 1]);
+      }
+    }
+    EXPECT_EQ(streamed_inversions(arrival), count_inversions(arrival)) << "trial " << trial;
+  }
+}
+
+TEST(SequenceExtentInversions, EmptySingleAndAllEqualSequences) {
+  metrics::SequenceExtentMetric empty;
+  observe_sequence(empty, std::vector<std::uint32_t>{});
+  EXPECT_EQ(empty.inversions(), 0u);
+  EXPECT_EQ(empty.sequences(), 0u);  // nothing arrived, nothing to close
+
+  EXPECT_EQ(streamed_inversions({7}), 0u);
+  EXPECT_EQ(streamed_inversions(std::vector<std::uint32_t>(100, 42)), 0u);
+  EXPECT_EQ(streamed_inversions({3, 3, 1, 1}), 4u);  // each 3 before each 1
+}
+
+TEST(SequenceExtentInversions, ReversedSequenceInvertsEveryPair) {
+  std::vector<std::uint32_t> reversed(4096);
+  for (std::uint32_t i = 0; i < 4096; ++i) reversed[i] = 4095 - i;
+  EXPECT_EQ(streamed_inversions(reversed), 4096u * 4095u / 2);
+}
+
+TEST(SequenceExtentInversions, ChunkedArrivalsMatchScalarArrivals) {
+  std::mt19937_64 rng{7};
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<std::uint32_t> arrival(1 + rng() % 500);
+    for (std::size_t i = 0; i < arrival.size(); ++i) {
+      arrival[i] = static_cast<std::uint32_t>(i);
+      if (i > 0 && rng() % 8 == 0) std::swap(arrival[i], arrival[i - 1 - rng() % i]);
+    }
+    metrics::SequenceExtentMetric scalar;
+    metrics::SequenceExtentMetric chunked;
+    for (const std::uint32_t s : arrival) scalar.observe_arrival(s);
+    for (std::size_t i = 0; i < arrival.size();) {
+      const std::size_t len = std::min<std::size_t>(1 + rng() % 40, arrival.size() - i);
+      chunked.observe_arrivals(arrival.data() + i, len);
+      i += len;
+    }
+    scalar.end_sequence();
+    chunked.end_sequence();
+    EXPECT_EQ(scalar.to_json().dump(), chunked.to_json().dump()) << "trial " << trial;
+    EXPECT_EQ(chunked.inversions(), count_inversions(arrival)) << "trial " << trial;
+  }
+}
+
+// An open sequence's inversions settle when it closes: inversions()
+// reports closed sequences only, and a snapshot closed on its own settles
+// the same pairs the original does.
+TEST(SequenceExtentInversions, OpenSequenceSettlesAtClose) {
+  metrics::SequenceExtentMetric m;
+  observe_sequence(m, {1, 0});  // one closed sequence, one inversion
+  m.observe_arrivals(std::vector<std::uint32_t>{5, 4, 3}.data(), 3);
+  EXPECT_EQ(m.inversions(), 1u);
+  EXPECT_EQ(m.reordered(), 3u);  // the per-arrival counts stream as before
+
+  const std::unique_ptr<metrics::Metric> copy = m.snapshot();
+  copy->end_sequence();
+  m.end_sequence();
+  EXPECT_EQ(m.inversions(), 4u);
+  EXPECT_EQ(copy->to_json().dump(), m.to_json().dump());
 }
 
 }  // namespace

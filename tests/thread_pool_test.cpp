@@ -138,6 +138,9 @@ TEST(WorkStealingPool, StealCountersAccountExactly) {
     done.push_back(pool.submit([] {}));
   }
   for (auto& f : done) f.get();
+  // A worker bumps its counters only after its job's future is ready, so
+  // the counts are exact only once shutdown() has joined the workers.
+  pool.shutdown();
   const WorkStealingPool::Stats stats = pool.stats();
   EXPECT_EQ(stats.submitted, 300u);
   EXPECT_EQ(stats.executed, 300u);
