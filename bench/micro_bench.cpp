@@ -14,7 +14,7 @@
 
 #include "bench_common.hpp"
 #include "core/checkpoint.hpp"
-#include "core/sharded_survey.hpp"
+#include "core/survey_world.hpp"
 #include "ingest/parallel_pipeline.hpp"
 #include "ingest/pipeline.hpp"
 #include "core/test_registry.hpp"
@@ -326,54 +326,17 @@ void BM_FullMeasurementSample(benchmark::State& state) {
 }
 BENCHMARK(BM_FullMeasurementSample)->Unit(benchmark::kMillisecond);
 
-// Parallel fleet scaling: a fixed 8-target survey partitioned into 4
-// shards, driven by {1, 2, 4} pool threads. Shard count is pinned so
-// every row simulates the IDENTICAL per-shard workload (and, per the
-// bit-exactness guarantee, produces identical results) — the ratio
-// between rows is pure thread-pool speedup, the number the CI scaling
-// gate tracks.
-void BM_ShardedSurvey(benchmark::State& state) {
-  core::ShardedSurveyConfig cfg;
-  cfg.fleet.seed = 11;
-  for (int i = 0; i < 8; ++i) {
-    core::SurveyTargetConfig target;
-    target.name = "host-" + std::to_string(i);
-    target.forward.swap_probability = (i % 4) * 0.05;
-    target.remote.behavior.immediate_ack_on_hole_fill = true;
-    target.tests = {core::TestSpec{"single-connection"}, core::TestSpec{"syn"}};
-    cfg.fleet.targets.push_back(std::move(target));
-  }
-  cfg.shards = 4;
-  cfg.threads = static_cast<std::size_t>(state.range(0));
-  core::ShardedSurveyEngine engine{cfg};
-  core::TestRunConfig run;
-  run.samples = 10;
-  std::size_t measurements = 0;
-  for (auto _ : state) {
-    measurements = engine.run(run, /*rounds=*/1, util::Duration::millis(200)).size();
-    benchmark::DoNotOptimize(measurements);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(measurements));
-}
-// UseRealTime: the work happens on pool workers, so the main thread's
-// CPU clock would show nothing — wall time is the quantity that scales.
-BENCHMARK(BM_ShardedSurvey)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// The resident service's admit-to-drain cycle over the same 8-target
-// fleet BM_ShardedSurvey runs — work-stealing pool, per-target worlds,
-// checkpoint off. The batch twin above is the reference: the service's
-// rows should scale with workers the same way (its per-target grain is
-// finer than the batch runtime's 4-shard grain, so stealing has more to
-// balance).
+// Parallel fleet scaling: the survey service's admit-to-drain cycle over
+// a fixed 768-target fleet — work-stealing pool, one world per target,
+// checkpoint off — driven by {1, 2, 4} workers. Every row simulates the
+// IDENTICAL fleet (and, per the byte-identity guarantee, produces
+// identical results), so the ratio between rows is pure pool speedup, the
+// number the CI scaling gate tracks. The fleet is sized so that workers:1
+// takes well over 50 ms per iteration: a few-millisecond survey is too
+// short for its run-to-run noise to stay below the effect.
 void BM_ServiceAdmitDrain(benchmark::State& state) {
   std::vector<core::SurveyTargetConfig> fleet;
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < 768; ++i) {
     core::SurveyTargetConfig target;
     target.name = "host-" + std::to_string(i);
     target.forward.swap_probability = (i % 4) * 0.05;
@@ -397,6 +360,8 @@ void BM_ServiceAdmitDrain(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(measurements));
 }
+// UseRealTime: the work happens on pool workers, so the main thread's
+// CPU clock would show nothing — wall time is the quantity that scales.
 BENCHMARK(BM_ServiceAdmitDrain)
     ->ArgName("workers")
     ->Arg(1)
@@ -439,30 +404,32 @@ BENCHMARK(BM_LiveSnapshot);
 // One durability point of a retained survey: `targets` single-connection
 // results recorded one per checkpoint record (the service keys records
 // by target), then one timed save() — the whole file through tmp +
-// rename, as SurveyService and ShardedSurveyEngine rewrite it. Recording
-// is set-up: records are rendered once, so a save is the cost that
-// recurs at every durability point.
+// rename, as SurveyService rewrites it. Recording is set-up: records are
+// rendered once, so a save is the cost that recurs at every durability
+// point.
 const core::SurveyCheckpoint& retained_checkpoint(std::size_t targets) {
   static std::map<std::size_t, core::SurveyCheckpoint> built;
   auto [it, inserted] = built.try_emplace(targets);
   if (!inserted) return it->second;
-  core::ShardedSurveyConfig cfg;
-  cfg.fleet.seed = 11;
+  constexpr std::uint64_t kSeed = 11;
+  const util::ShardSeeder seeder{kSeed};
+  core::SurveyEngine::Options options;
+  options.retain_samples = true;
+  core::TestRunConfig run;
+  run.samples = 15;
+  it->second.set_header({0, targets, 1, kSeed});
   for (std::size_t i = 0; i < targets; ++i) {
     core::SurveyTargetConfig target;
     target.name = "host-" + std::to_string(i);
     target.forward.swap_probability = static_cast<double>(i % 4) * 0.05;
     target.remote.behavior.immediate_ack_on_hole_fill = true;
     target.tests = {core::TestSpec{"single-connection"}};
-    cfg.fleet.targets.push_back(std::move(target));
-  }
-  cfg.shards = targets;
-  const core::ShardedSurveyEngine engine{cfg};
-  core::TestRunConfig run;
-  run.samples = 15;
-  it->second.set_header({targets, targets, 1, cfg.fleet.seed});
-  for (std::size_t s = 0; s < targets; ++s) {
-    it->second.record_shard(engine.run_shard(s, run, 1, util::Duration::millis(200)));
+    core::pin_target_identity(target, i, seeder);
+    core::ShardRunResult result =
+        core::run_survey_world({.seed = kSeed, .targets = {std::move(target)}}, options, {}, run,
+                               1, util::Duration::millis(200));
+    result.shard = i;
+    it->second.record_shard(result);
   }
   return it->second;
 }

@@ -1,15 +1,16 @@
-// survey_service: the resident survey daemon — ROADMAP item 1's shape.
+// survey_service: the survey daemon — the runtime for every parallel,
+// durable or resident fleet survey.
 //
-// Where survey_fleet runs one closed fleet to completion, this process
-// stays up and ADMITS work continuously into a service::SurveyService:
+// Where survey_fleet narrates one fleet live on a single event loop, this
+// process ADMITS work continuously into a service::SurveyService:
 // targets stream in (a synthetic population, or specs read from a file /
 // stdin), a work-stealing pool executes each one as its own simulation
 // world, and live fleet-wide snapshots (merged metrics + scheduler
 // counters) print mid-run without pausing anything. Identity is pinned
 // per global admission index, so the canonical JSONL this daemon writes
-// after drain is byte-identical to a one-shot sharded batch run over the
-// same population — admit order, batch size, worker count and steal
-// schedule all invisible in the output.
+// after drain is a pure function of the population and seed — admit
+// order, batch size, worker count and steal schedule are all invisible
+// in the output.
 //
 // SIGTERM/SIGINT stop admission and drain gracefully: in-flight targets
 // finish, the checkpoint (when enabled) is durably saved, the summary
@@ -47,9 +48,8 @@ std::atomic<bool> g_stop{false};
 
 void on_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
-/// The same synthetic host population survey_fleet draws — kept
-/// generation-identical so CI can byte-compare this daemon's canonical
-/// JSONL against the batch runtime's over the same seed.
+/// The same synthetic host population survey_fleet draws, so both
+/// binaries measure identical worlds for the same seed.
 std::vector<core::SurveyTargetConfig> synthesize(std::int64_t targets, std::uint64_t seed,
                                                  double reordering_fraction) {
   util::Rng population{seed};
@@ -260,8 +260,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(sched.steal_attempts));
 
   if (!jsonl_path.empty()) {
-    // Canonical merged emission, written crash-safely — byte-identical to
-    // the equivalent batch run's artifact.
+    // Canonical merged emission, written crash-safely: readers never see
+    // a torn artifact.
     report::AtomicJsonlFile file{jsonl_path};
     service.emit_jsonl(file.writer());
     const std::size_t lines = file.writer().lines_written();

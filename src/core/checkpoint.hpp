@@ -1,14 +1,17 @@
-// Checkpoint/resume for the sharded survey runtime.
+// Checkpoint/resume for the survey service.
 //
-// The recovery unit is the shard: run_shard() is pure (its whole world is
-// rebuilt from shard_config(), seeds pinned to global target indices), so
-// a survey interrupted at ANY point resumes by re-running exactly the
-// shards whose results were not yet durably recorded. A SurveyCheckpoint
-// is that durable record: one JSONL file holding a header plus one record
-// per completed shard — the shard's full-fidelity completion log (every
-// sample payload, uids included) and its serialized metric snapshots
-// (restored through the metrics from_json contract, so the resumed merge
-// is bit-identical to an uninterrupted run's).
+// The recovery unit is one target's world: core::run_survey_world() is
+// pure (the world is rebuilt from the target's pinned config, seeds tied
+// to its global index), so a survey interrupted at ANY point resumes by
+// re-running exactly the targets whose results were not yet durably
+// recorded. A SurveyCheckpoint is that durable record: one JSONL file
+// holding a header plus one `shard_done` record per completed world, keyed
+// by the target's global index — the world's full-fidelity completion log
+// (every sample payload, uids included) and its serialized metric
+// snapshots (restored through the metrics from_json contract, so the
+// resumed merge is bit-identical to an uninterrupted run's). The header's
+// `shards` field is 0, the marker of this per-target layout;
+// SurveyService::restore() rejects any other value.
 //
 // Each record is rendered once, when it is recorded (or accepted by
 // load()): the checkpoint keeps the finished `shard_done` line as text,
@@ -22,7 +25,7 @@
 //     intact;
 //   * every record carries an fnv1a64 checksum over its body rendering;
 //     load() drops records whose line is torn (unparseable) or whose
-//     checksum disagrees, and reports how many it dropped — those shards
+//     checksum disagrees, and reports how many it dropped — those targets
 //     simply re-run. Corruption costs work, never correctness.
 #pragma once
 
@@ -32,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "core/sharded_survey.hpp"
+#include "core/survey_world.hpp"
 #include "report/json.hpp"
 
 namespace reorder::core {
@@ -46,9 +49,10 @@ Measurement measurement_from_json(const report::Json& j);
 
 class SurveyCheckpoint {
  public:
-  /// Identity of the run a checkpoint belongs to. resume() refuses a
-  /// checkpoint whose header disagrees with the engine's configuration —
-  /// restored shard results are only valid for the exact same plan.
+  /// Identity of the run a checkpoint belongs to. SurveyService::restore()
+  /// refuses a checkpoint whose header disagrees with its plan — restored
+  /// results are only valid for the exact same plan. `shards` is the
+  /// layout marker, 0 for per-target records.
   struct Header {
     std::size_t shards{0};
     std::size_t targets{0};
@@ -90,7 +94,7 @@ class SurveyCheckpoint {
   /// checkpoint — resume from nothing is a plain run.
   static SurveyCheckpoint load(const std::string& path);
   /// Records dropped by load() because they were torn or corrupt — the
-  /// shards that will re-run.
+  /// targets that will re-run.
   std::size_t torn_records() const { return torn_; }
 
  private:

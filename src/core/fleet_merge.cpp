@@ -115,8 +115,8 @@ std::vector<report::Json> merge_fleet_streams(
   }
 
   // The canonical (target, test, at) order, then renumber measurement
-  // indices in it — the same erasure of run/shard bookkeeping the sharded
-  // engine's merge performs.
+  // indices in it — the same erasure of run/world bookkeeping the survey
+  // service's merge performs.
   std::sort(groups.begin(), groups.end(), [](const Group& a, const Group& b) {
     return std::tie(a.target, a.test, a.at_ns) < std::tie(b.target, b.test, b.at_ns);
   });

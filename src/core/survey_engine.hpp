@@ -52,8 +52,8 @@ class SurveyEngine {
     util::Duration measurement_deadline{util::Duration::seconds(600)};
     /// Keep each Measurement's per-sample payload in the completion log.
     /// Off by default (a long survey's dominant data would be resident
-    /// twice — it already lives columnar in the store); the sharded
-    /// driver turns it on so the merged log can replay full event streams
+    /// twice — it already lives columnar in the store); the survey
+    /// service turns it on so the merged log can replay full event streams
     /// through the canonical emission path.
     bool retain_samples{false};
     /// Deterministic fault injection (not owned; may be null). A
@@ -110,10 +110,10 @@ class SurveyEngine {
   /// Every measurement taken, in completion order.
   const std::vector<Measurement>& measurements() const { return measurements_; }
 
-  /// Moves the completion log out of the engine (it is left empty). The
-  /// sharded driver uses this to hand a finished shard's log to the merge
-  /// without copying retained sample payloads. Must not be called while a
-  /// survey is running.
+  /// Moves the completion log out of the engine (it is left empty).
+  /// core::run_survey_world uses this to hand a finished world's log to
+  /// the merge without copying retained sample payloads. Must not be
+  /// called while a survey is running.
   std::vector<Measurement> release_measurements();
 
   /// Mean reordering rate per admissible measurement of (target, test), in

@@ -43,8 +43,8 @@ SurveyTestbed::SurveyTestbed(SurveyTestbedConfig config) {
     host_cfg.name = net->config.name;
     // Per-target seed/IPID derivation mirrors Testbed's per-backend scheme
     // so identical (seed, index) pairs reproduce identical hosts. A config
-    // with explicit identity (the sharded planner's) overrides the local
-    // derivation wholesale — that is what makes a target's world a pure
+    // with explicit identity (core::pin_target_identity's) overrides the
+    // local derivation wholesale — that is what makes a target's world a pure
     // function of its global fleet index.
     host_cfg.seed = net->config.host_seed.value_or(config.seed * 1000 + index + 1);
     host_cfg.ipid_initial =

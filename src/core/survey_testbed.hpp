@@ -38,10 +38,10 @@ struct SurveyTargetConfig {
   /// The techniques to cycle against this target (registry specs).
   std::vector<TestSpec> tests{TestSpec{"single-connection"}, TestSpec{"syn"}};
 
-  /// Explicit stochastic identity. The sharded survey planner pins these
+  /// Explicit stochastic identity. core::pin_target_identity pins these
   /// from the target's GLOBAL fleet index (util::ShardSeeder) so the
-  /// target's RNG streams are identical no matter which shard — and how
-  /// many shards — the fleet is split into. When unset, the testbed
+  /// target's RNG streams are identical no matter which world — and how
+  /// many worlds — the fleet is split into. When unset, the testbed
   /// derives them from the target's local index (the historical scheme,
   /// which is only stable for a fixed single-testbed layout).
   std::optional<std::uint64_t> host_seed;
@@ -57,8 +57,8 @@ struct SurveyTestbedConfig {
 };
 
 /// Defaults for targets that leave name/address unset, shared by the
-/// single-testbed path (local index) and the sharded planner (global
-/// index) so both derive identical worlds from identical indices.
+/// single-testbed path (local index) and core::pin_target_identity
+/// (global index) so both derive identical worlds from identical indices.
 std::string default_target_name(std::size_t index);
 /// Spreads addresses across 10.1.x.y so fleets larger than one /24
 /// don't wrap onto each other.

@@ -1,5 +1,8 @@
 #include "metrics/pair_metrics.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "report/sinks.hpp"
 
 namespace reorder::metrics {
@@ -165,8 +168,21 @@ void RateEcdfMetric::from_json(const report::Json& j) {
 
 // ----------------------------------------------- LatencyHistogramMetric
 
+namespace {
+
+std::size_t checked_bins(std::uint64_t bins) {
+  if (bins < 1 || bins > LatencyHistogramMetric::kMaxBins) {
+    throw std::invalid_argument{"latency_histogram: " + std::to_string(bins) +
+                                " bins outside [1, " +
+                                std::to_string(LatencyHistogramMetric::kMaxBins) + "]"};
+  }
+  return static_cast<std::size_t>(bins);
+}
+
+}  // namespace
+
 LatencyHistogramMetric::LatencyHistogramMetric(double lo_us, double hi_us, std::size_t bins)
-    : histogram_{lo_us, hi_us, bins} {}
+    : histogram_{lo_us, hi_us, checked_bins(bins)} {}
 
 void LatencyHistogramMetric::observe(const core::SampleEvent& e) {
   histogram_.add(static_cast<double>((e.sample.completed - e.sample.started).ns()) / 1e3);
@@ -205,7 +221,7 @@ report::Json LatencyHistogramMetric::to_json() const {
 
 void LatencyHistogramMetric::from_json(const report::Json& j) {
   histogram_ = stats::Histogram{j.at("lo").as_double(), j.at("hi").as_double(),
-                                static_cast<std::size_t>(j.at("nbins").as_int())};
+                                checked_bins(j.at("nbins").as_u64())};
   histogram_.add_underflow(j.at("underflow").as_int());
   histogram_.add_overflow(j.at("overflow").as_int());
   for (const auto& bin : j.at("bins").items()) {

@@ -109,7 +109,14 @@ class RateEcdfMetric final : public Metric {
 class LatencyHistogramMetric final : public Metric {
  public:
   static constexpr std::string_view kName = "latency_histogram";
+  /// The most bins a histogram may have. from_json sizes the histogram by
+  /// the record's `nbins`, so a restored record past this bound is
+  /// rejected (std::invalid_argument) before anything is allocated; the
+  /// constructor enforces the same bound, so every live histogram restores.
+  static constexpr std::size_t kMaxBins = std::size_t{1} << 16;
 
+  /// Throws std::invalid_argument on an empty range or bins outside
+  /// [1, kMaxBins].
   LatencyHistogramMetric(double lo_us = 0.0, double hi_us = 1'000'000.0,
                          std::size_t bins = 50);
 

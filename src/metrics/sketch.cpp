@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 namespace reorder::metrics {
 
@@ -92,8 +94,13 @@ void TailSketch::from_json(const report::Json& j) {
   restored.sum_ = j.at("sum").as_u64();
   restored.max_ = j.at("max").as_u64();
   restored.min_ = restored.count_ == 0 ? 0 : j.at("min").as_u64();
+  const std::size_t max_index = bucket_index(std::numeric_limits<std::uint64_t>::max());
   for (const auto& pair : j.at("buckets").items()) {
-    const auto index = static_cast<std::size_t>(pair.at(0).as_u64());
+    const std::uint64_t index = pair.at(0).as_u64();
+    if (index > max_index) {
+      throw std::invalid_argument{"TailSketch::from_json: bucket index " +
+                                  std::to_string(index) + " out of range"};
+    }
     if (index >= restored.buckets_.size()) restored.buckets_.resize(index + 1, 0);
     restored.buckets_[index] = pair.at(1).as_u64();
   }

@@ -46,7 +46,10 @@ class TailSketch {
   report::Json to_json() const;
 
   /// Restores the sketch from a to_json() rendering, replacing any
-  /// current state. Throws on schema mismatch.
+  /// current state. Throws on schema mismatch, and std::invalid_argument
+  /// on a bucket index no value can reach (above bucket_index(UINT64_MAX)):
+  /// the bucket array is sized by that index, so it is bounded before
+  /// anything is allocated.
   void from_json(const report::Json& j);
 
  private:

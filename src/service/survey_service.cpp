@@ -6,23 +6,18 @@
 
 #include "report/sinks.hpp"
 #include "util/fault_injector.hpp"
-#include "util/thread_pool.hpp"
 
 namespace reorder::service {
 
 namespace {
 
-/// The canonical merged-log order — identical to the sharded runtime's:
-/// (target, test, at) totally orders a survey's measurements.
+/// The canonical merged-log order. (target, test, at) is a total order
+/// over a survey's measurements: one target runs its tests strictly
+/// sequentially, so two measurements of the same (target, test) never
+/// share a timestamp.
 bool canonical_less(const core::Measurement& a, const core::Measurement& b) {
   return std::tie(a.target, a.test, a.at) < std::tie(b.target, b.test, b.at);
 }
-
-class EndCapture final : public core::ResultSink {
- public:
-  void on_survey_end(const core::SurveyEvent& e) override { end = e; }
-  core::SurveyEvent end{};
-};
 
 }  // namespace
 
@@ -118,23 +113,12 @@ std::size_t SurveyService::admit_locked(core::SurveyTargetConfig target,
     throw std::invalid_argument{"SurveyService: global index " + std::to_string(index) +
                                 " already admitted"};
   }
-  // Pin the target's identity to its global index exactly as the sharded
-  // planner does (ShardedSurveyEngine::shard_config): default name and
-  // address from the index, the whole stochastic identity from the
-  // seeder; explicit values a caller already set are theirs to keep.
-  if (target.name.empty()) target.name = core::default_target_name(index);
-  if (target.address == tcpip::Ipv4Address{}) {
-    target.address = core::default_target_address(index);
-  }
-  const util::TargetSeeds seeds = seeder_.target(index);
-  if (!target.host_seed) target.host_seed = seeds.host_seed;
-  if (!target.ipid_initial) target.ipid_initial = seeds.ipid_initial;
-  if (!target.forward_path_tag) target.forward_path_tag = seeds.forward_tag;
-  if (!target.reverse_path_tag) target.reverse_path_tag = seeds.reverse_tag;
+  core::pin_target_identity(target, index, seeder_);
 
-  // Fleet-wide identity collisions reject at admission — same rationale
-  // as the batch engine's constructor check: results are keyed by name,
-  // so a duplicate would silently pool two streams.
+  // Fleet-wide identity collisions reject at admission: results are keyed
+  // by name, so a duplicate would silently pool two streams, and a world
+  // only sees its own targets, so an address collision must be caught
+  // here or not at all.
   if (!names_.insert(target.name).second) {
     throw std::invalid_argument{"SurveyService: duplicate target name '" + target.name + "'"};
   }
@@ -175,8 +159,8 @@ void SurveyService::restore(const core::SurveyCheckpoint& checkpoint) {
   }
   if (checkpoint.header().has_value()) {
     const core::SurveyCheckpoint::Header& h = *checkpoint.header();
-    // shards == 0 is the service marker: per-target records, not
-    // per-shard — a batch engine's checkpoint is not adoptable here.
+    // shards == 0 marks the per-target record layout, the only one there
+    // is; a header claiming shard-keyed records is not adoptable here.
     if (h.shards != 0 || h.rounds != config_.rounds || h.seed != config_.seed) {
       throw std::invalid_argument{
           "SurveyService::restore: checkpoint header does not match this service plan"};
@@ -190,42 +174,6 @@ void SurveyService::restore(const core::SurveyCheckpoint& checkpoint) {
 
 // ----------------------------------------------------------- execution
 
-core::ShardRunResult SurveyService::run_world(std::size_t index,
-                                              const core::SurveyTargetConfig& cfg) const {
-  // One admitted target is one complete world of its own — the sharded
-  // runtime with shards == fleet size. Per-target independence (the
-  // concurrent-vs-sequential equivalence property) makes this world's
-  // results identical to the target's results in any co-resident shard.
-  core::SurveyTestbedConfig world;
-  world.seed = config_.seed;
-  world.probe_addr = config_.probe_addr;
-  world.targets.push_back(cfg);
-
-  core::SurveyTestbed bed{std::move(world)};
-  core::SurveyEngine::Options options = config_.engine;
-  options.retain_samples = config_.retain_results;
-  core::SurveyEngine engine{bed.loop(), options};
-  bed.populate(engine);
-
-  metrics::MetricEngine custom{config_.suite_factory
-                                   ? config_.suite_factory
-                                   : metrics::SuiteFactory{&metrics::default_suite}};
-  metrics::EngineSink custom_sink{custom};
-  if (config_.suite_factory) engine.add_sink(custom_sink);
-
-  EndCapture end;
-  engine.add_sink(end);
-
-  engine.run(config_.run, config_.rounds, config_.between);
-
-  core::ShardRunResult out;
-  out.shard = index;
-  out.log = engine.release_measurements();
-  out.metrics.merge(config_.suite_factory ? custom : engine.metrics());
-  out.end = end.end;
-  return out;
-}
-
 void SurveyService::run_target(std::size_t index) {
   core::SurveyTargetConfig cfg;
   {
@@ -233,8 +181,8 @@ void SurveyService::run_target(std::size_t index) {
     cfg = targets_.at(index).config;
   }
 
-  // The same retry discipline as the batch runtime, with the global
-  // target index in the shard slot of the fault-site convention.
+  // The global target index fills the shard slot of the fault-site
+  // convention.
   util::FaultInjector* faults = config_.engine.faults;
   const std::string run_site = "shard/" + std::to_string(index) + "/run";
   const std::string abort_site = "shard/" + std::to_string(index) + "/abort";
@@ -246,7 +194,13 @@ void SurveyService::run_target(std::size_t index) {
     bool transient = true;
     try {
       if (faults != nullptr) faults->maybe_throw(run_site, util::FaultInjector::Mode::kThrow);
-      core::ShardRunResult result = run_world(index, cfg);
+      // One admitted target is one complete world of its own.
+      core::SurveyEngine::Options options = config_.engine;
+      options.retain_samples = config_.retain_results;
+      core::ShardRunResult result = core::run_survey_world(
+          core::SurveyTestbedConfig{config_.seed, config_.probe_addr, {cfg}}, options,
+          config_.suite_factory, config_.run, config_.rounds, config_.between);
+      result.shard = index;
       if (faults != nullptr) {
         faults->maybe_throw(abort_site, util::FaultInjector::Mode::kShardAbort);
       }
@@ -256,9 +210,9 @@ void SurveyService::run_target(std::size_t index) {
       transient = fault.transient();
       error = fault.what();
     } catch (const std::invalid_argument& e) {
-      // A broken survey PLAN — it would fail identically on every attempt.
-      // The batch engine fails fast out of run(); the resident service has
-      // no run() to unwind, so the error is parked and drain() rethrows.
+      // A broken survey PLAN — it would fail identically on every attempt,
+      // and degrading would mask the typo. There is no run() to unwind, so
+      // the error is parked and drain() rethrows.
       fail_target(index, attempt, e.what(), true);
       return;
     } catch (const std::exception& e) {
@@ -276,8 +230,8 @@ void SurveyService::run_target(std::size_t index) {
 
 void SurveyService::complete_target(std::size_t index, core::ShardRunResult result, int attempts,
                                     bool decrement_pending) {
-  // Durability point first, mirroring the batch runtime: the checkpoint
-  // record exists before the result feeds any live view.
+  // Durability point first: the checkpoint record exists before the
+  // result feeds any live view.
   if (!config_.checkpoint_path.empty()) {
     std::lock_guard lock{checkpoint_mu_};
     checkpoint_.record_shard(result, attempts);
@@ -303,9 +257,8 @@ void SurveyService::complete_target(std::size_t index, core::ShardRunResult resu
     std::lock_guard lock{admission_mu_};
     AdmittedTarget& target = targets_.at(index);
     target.state = AdmittedTarget::State::kDone;
-    // Adopted results carry attempts = 0 in the live accounting (same as
-    // the batch engine's restored shards); the checkpoint keeps the real
-    // history recorded above.
+    // Adopted results carry attempts = 0 in the live accounting; the
+    // checkpoint keeps the real history recorded above.
     target.attempts = decrement_pending ? attempts : 0;
     target.config = core::SurveyTargetConfig{};  // retire the world description
     name = target.name;
@@ -494,8 +447,8 @@ void SurveyService::finalize_locked() {
   merged_end_.rounds = config_.rounds;
   merged_end_.measurements = total_measurements;
 
-  // Failure accounting in global-index order, exactly the batch shape
-  // (with shard == target here, failed_shards counts failed targets).
+  // Failure accounting in global-index order (one world per target, so
+  // failed_shards counts failed targets).
   for (const auto& [index, target] : targets_) {
     if (target.state != AdmittedTarget::State::kFailed) continue;
     merged_end_.degraded = true;
@@ -539,6 +492,9 @@ void SurveyService::emit_jsonl(report::JsonlWriter& out) {
   }
   sink.on_survey_end(merged_end_);
   merged_.emit_jsonl(out, metrics::MetricEngine::EmitOrder::kCanonical);
+  // A degraded survey's stream ends with the participation manifest, so a
+  // consumer of the merged metrics can reconcile the whole fleet without
+  // the survey_end record. Absent on clean runs.
   if (merged_end_.degraded) {
     report::Json manifest = report::Json::object();
     manifest.set("type", "participation");

@@ -1,40 +1,39 @@
-// The resident survey service — the paper's finite batch survey turned
-// into an always-on daemon.
+// The survey service — the paper's §IV fleet survey as an always-on
+// daemon, and the one runtime every survey runs on. A batch survey is
+// admit(all); drain().
 //
-// ShardedSurveyEngine runs one closed fleet to completion: partition,
-// execute, join, merge. SurveyService stays up instead. Targets are
-// ADMITTED continuously — one at a time or in batches, from any thread —
-// and each admission is assigned a GLOBAL IDENTITY INDEX. Identity is
-// everything: util::ShardSeeder derives the target's whole stochastic
-// world (host RNG, IPID origin, path tags) from (service seed, global
-// index), exactly as the sharded batch planner does, so a target's
-// results are byte-identical no matter WHEN it was admitted, WHICH
-// worker ran it, or what else was in flight — and therefore identical to
-// the one-shot ShardedSurveyEngine::run() over the same fleet (the
-// placement/admission-order invariance property tests pin this).
+// Targets are ADMITTED continuously — one at a time or in batches, from
+// any thread — and each admission is assigned a GLOBAL IDENTITY INDEX.
+// Identity is everything: core::pin_target_identity derives the target's
+// whole stochastic world (host RNG, IPID origin, path tags) from
+// (service seed, global index), so a target's results are byte-identical
+// no matter WHEN it was admitted, WHICH worker ran it, or what else was
+// in flight — and therefore identical to the whole fleet run as one world
+// on one event loop (the placement/admission-order invariance property
+// tests pin this against that single-world reference).
 //
-// Scheduling is a work-stealing deque pool (util::WorkStealingPool):
-// admissions round-robin onto per-worker deques purely as a load hint,
-// and idle workers steal from random victims. The batch runtime's fixed
-// round-robin PLACEMENT is gone — only identity is round-robin-derived,
-// placement is free — which is what lets a fleet of wildly uneven
-// targets keep every core busy. Steal counters surface in snapshots.
+// Scheduling is a work-stealing deque pool (util::WorkStealingPool): each
+// admitted target is its own world (core::run_survey_world), admissions
+// round-robin onto per-worker deques purely as a load hint, and idle
+// workers steal from random victims. Only identity is index-derived;
+// placement is free, which is what lets a fleet of wildly uneven targets
+// keep every core busy. Steal counters surface in snapshots.
 //
 // Live view: snapshot() folds the per-worker MetricEngine accumulators
 // through the metrics merge() contract into a fleet-wide engine MID-RUN,
 // without stopping admission — the per-slot locks are held only while
 // one slot's accumulator is copied. drain() waits for quiescence;
 // stop() additionally retires the workers. After drain, emit_jsonl()
-// produces the same canonical JSONL stream an equivalent batch run
-// emits, byte for byte.
+// produces the canonical JSONL stream: completion logs sorted by
+// (target, test, at), indices renumbered in that order, so the schedule
+// cannot leak into a byte of output.
 //
-// Fault tolerance composes from PR 8's pieces: every completed target is
-// recorded into a core::SurveyCheckpoint (saved atomically by a
-// background thread every checkpoint_interval), restore() adopts a
-// prior run's completed targets so only the missing ones re-run, and
-// core::ShardRetryPolicy retries transient per-target failures with
-// backoff — exhaustion degrades the survey (full-fleet accounting)
-// instead of aborting it.
+// Fault tolerance: every completed target is recorded into a
+// core::SurveyCheckpoint (saved atomically by a background thread every
+// checkpoint_interval), restore() adopts a prior run's completed targets
+// so only the missing ones re-run, and ShardRetryPolicy retries transient
+// per-target failures with backoff — exhaustion degrades the survey
+// (full-fleet accounting) instead of aborting it.
 #pragma once
 
 #include <atomic>
@@ -54,15 +53,34 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
-#include "core/sharded_survey.hpp"
 #include "core/survey_engine.hpp"
 #include "core/survey_testbed.hpp"
+#include "core/survey_world.hpp"
 #include "metrics/engine.hpp"
 #include "report/jsonl.hpp"
 #include "util/shard_seeder.hpp"
 #include "util/work_stealing_pool.hpp"
 
 namespace reorder::service {
+
+/// Failure policy for one target's world: how often a failed run is
+/// re-attempted and how the waits between attempts grow. Retries apply
+/// only to TRANSIENT failures (infrastructure: a worker died, an injected
+/// kThrow/kShardAbort with transient=true); deterministic failures
+/// (std::invalid_argument, non-transient injected faults) would fail
+/// identically every attempt and go straight to the degraded path.
+struct ShardRetryPolicy {
+  /// Attempts per target including the first (clamped to >= 1). A target
+  /// still failing after the last attempt makes the survey degraded.
+  int max_attempts{3};
+  /// Wall-clock wait before attempt 2; grows by `multiplier` per further
+  /// attempt, capped at `max_backoff`. Wall time, not virtual time: the
+  /// world is rebuilt from scratch each attempt, so virtual time restarts
+  /// — only the host needs breathing room.
+  std::chrono::milliseconds initial_backoff{1};
+  double multiplier{2.0};
+  std::chrono::milliseconds max_backoff{50};
+};
 
 /// Completion notification (config.on_target_complete), fired on the
 /// worker thread that finished the target, outside service locks.
@@ -78,8 +96,9 @@ struct TargetDone {
 };
 
 struct SurveyServiceConfig {
-  /// Survey seed: with the same seed, rounds and run config, a service
-  /// fleet reproduces a ShardedSurveyEngine fleet bit-exactly.
+  /// Survey seed: with the same seed, rounds and run config, the same
+  /// fleet reproduces bit-exactly whatever the workers, batches and
+  /// admission order.
   std::uint64_t seed{1};
   tcpip::Ipv4Address probe_addr{tcpip::Ipv4Address::from_octets(10, 0, 0, 1)};
   /// Worker threads; 0 picks hardware concurrency.
@@ -87,8 +106,7 @@ struct SurveyServiceConfig {
   /// Work stealing on (default) or the per-worker FIFO fallback. Results
   /// are identical either way — only load balance differs.
   bool steal{true};
-  /// The survey plan every admitted target runs: fixed at construction,
-  /// like the (run, rounds, between) arguments of a batch run().
+  /// The survey plan every admitted target runs, fixed at construction.
   core::TestRunConfig run{};
   int rounds{1};
   util::Duration between{util::Duration::seconds(1)};
@@ -98,7 +116,7 @@ struct SurveyServiceConfig {
   /// Per-world metric suite factory; null uses metrics::default_suite.
   metrics::SuiteFactory suite_factory{};
   /// Transient-failure retry policy per target (see ShardRetryPolicy).
-  core::ShardRetryPolicy retry{};
+  ShardRetryPolicy retry{};
   /// When non-empty, completed targets are durably recorded here: a
   /// core::SurveyCheckpoint file (shard index == global target index,
   /// header.shards == 0 as the service marker), rewritten atomically by
@@ -128,7 +146,7 @@ class SurveyService {
   // -------------------------------------------------------- admission
   /// Admits one target at the next free global index and returns that
   /// index. Unset identity fields (name, address, seeds) are pinned from
-  /// the index exactly as ShardedSurveyEngine::shard_config pins them.
+  /// the index by core::pin_target_identity.
   /// Thread-safe; throws std::invalid_argument on duplicate name or
   /// address (fleet-wide), std::logic_error after stop().
   std::size_t admit(core::SurveyTargetConfig target);
@@ -144,7 +162,8 @@ class SurveyService {
   /// matching global index is admitted, its recorded result is folded in
   /// instead of re-running the world. Must be called before the first
   /// admission; throws std::invalid_argument when the checkpoint header
-  /// disagrees with this service's plan (marker, rounds, seed).
+  /// disagrees with this service's plan (shards != 0 marker, rounds,
+  /// seed).
   void restore(const core::SurveyCheckpoint& checkpoint);
 
   // -------------------------------------------------------- live view
@@ -202,8 +221,8 @@ class SurveyService {
 
   // ------------------------------------- merged results (quiescent API)
   // Callable once drained (throw std::logic_error while targets are in
-  // flight). Outputs are canonical — identical to what the equivalent
-  // one-shot ShardedSurveyEngine::run() produces.
+  // flight). Outputs are canonical: a pure function of the admitted fleet,
+  // seed and plan.
   /// The merged completion log in canonical (target, test, at) order.
   /// Needs retain_results.
   const std::vector<core::Measurement>& measurements();
@@ -216,9 +235,7 @@ class SurveyService {
   /// The canonical merged JSONL stream: survey_begin, every measurement's
   /// samples + measurement records with canonically renumbered indices,
   /// survey_end, one metrics record per key in canonical order, plus the
-  /// participation manifest when degraded — byte-identical to
-  /// ShardedSurveyEngine::emit_jsonl over the same fleet + seed. Needs
-  /// retain_results.
+  /// participation manifest when degraded. Needs retain_results.
   void emit_jsonl(report::JsonlWriter& out);
 
   // ------------------------------------------------ failure accounting
@@ -273,7 +290,6 @@ class SurveyService {
                            std::optional<RestoredEntry>& adopt);
   void submit_target(std::size_t index);
   void run_target(std::size_t index);
-  core::ShardRunResult run_world(std::size_t index, const core::SurveyTargetConfig& cfg) const;
   void complete_target(std::size_t index, core::ShardRunResult result, int attempts,
                        bool decrement_pending);
   void fail_target(std::size_t index, int attempts, std::string error, bool plan_error);

@@ -21,8 +21,8 @@
 //
 // The four modes mirror the survey's real failure classes:
 //   kThrow            a transient infrastructure error (util::InjectedFault)
-//   kShardAbort       a whole shard world dies mid-run (transient: the
-//                     sharded driver retries it with backoff)
+//   kShardAbort       a whole target world dies mid-run (transient: the
+//                     survey service retries it with backoff)
 //   kTargetTimeout    one target never answers: the measurement is
 //                     recorded inadmissible at its deadline
 //   kSinkWriteFailure the JSONL emit path's stream write fails

@@ -1,13 +1,13 @@
-// Shard-invariant seed derivation for partitioned surveys.
+// Placement-invariant seed derivation for fleet surveys.
 //
-// When a fleet is split across simulation shards, every stochastic stream
+// When a fleet is split across simulation worlds, every stochastic stream
 // a target owns (its host's RNG, its IPID counter, its forward/reverse
 // path stages) must be a pure function of the survey seed and the
-// target's GLOBAL identity — never of the shard it landed on, its index
-// within that shard, or the number of shards. ShardSeeder is that
+// target's GLOBAL identity — never of the world it landed on, its index
+// within that world, or the number of worlds. ShardSeeder is that
 // function: a splitmix64 chain over (survey_seed, global_index), so a
 // target's whole simulated world replays bit-identically whether the
-// fleet runs on one shard or sixty-four.
+// fleet runs as one world on one loop or as one world per target.
 #pragma once
 
 #include <cstdint>
@@ -44,12 +44,6 @@ class ShardSeeder {
   /// The seeds of the target at `global_index` in the fleet's declaration
   /// order. Pure in (survey_seed, global_index).
   TargetSeeds target(std::uint64_t global_index) const;
-
-  /// Deterministic target -> shard assignment: round-robin by global
-  /// index. Balanced for homogeneous fleets, and stable — adding a shard
-  /// never moves a target between two existing runs of the SAME shard
-  /// count, which is what the bit-identity tests compare.
-  static std::size_t shard_of(std::uint64_t global_index, std::size_t shards);
 
  private:
   std::uint64_t survey_seed_;

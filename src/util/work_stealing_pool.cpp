@@ -1,13 +1,17 @@
 #include "util/work_stealing_pool.hpp"
 
+#include <algorithm>
+
 #include "util/shard_seeder.hpp"
-#include "util/thread_pool.hpp"
 
 namespace reorder::util {
 
+std::size_t WorkStealingPool::hardware_threads() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 WorkStealingPool::WorkStealingPool(Options options) : options_{options} {
-  const std::size_t n =
-      options_.threads != 0 ? options_.threads : ThreadPool::hardware_threads();
+  const std::size_t n = options_.threads != 0 ? options_.threads : hardware_threads();
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     auto worker = std::make_unique<Worker>();
@@ -151,7 +155,7 @@ void WorkStealingPool::worker_loop(std::size_t index) {
 }
 
 void WorkStealingPool::worker_loop_no_steal(Worker& self) {
-  // The FIFO fallback: exactly ThreadPool's loop, on a private queue.
+  // The FIFO fallback: one mutex-guarded queue per worker, no theft.
   for (;;) {
     std::packaged_task<void()> task;
     {

@@ -1,15 +1,13 @@
-// A work-stealing worker pool — the resident survey service's scheduler.
+// A work-stealing worker pool — the survey service's scheduler and the
+// repository's one worker pool.
 //
-// util::ThreadPool (one shared FIFO) is the right substrate when the job
-// count is small and fixed: the sharded batch runtime submits N shard
-// worlds once and joins. A resident service admits work CONTINUOUSLY and
-// its jobs are wildly uneven (a lossy target's world runs for multiples
-// of a clean one's), so placement must be free to rebalance. Here every
-// worker owns a deque; submission round-robins across the deques, owners
-// consume their own deque front-to-back (FIFO — with stealing disabled a
-// single worker degenerates to exactly ThreadPool's submission order),
-// and an idle worker STEALS from the back of a randomly chosen victim's
-// deque. Identity stays pinned elsewhere (util::ShardSeeder keys every
+// The survey service admits work CONTINUOUSLY and its jobs are wildly
+// uneven (a lossy target's world runs for multiples of a clean one's), so
+// placement must be free to rebalance. Here every worker owns a deque;
+// submission round-robins across the deques, owners consume their own
+// deque front-to-back (FIFO — a single worker runs jobs in exactly their
+// submission order, stealing or not), and an idle worker STEALS from the
+// back of a randomly chosen victim's deque. Identity stays pinned elsewhere (util::ShardSeeder keys every
 // target's RNG streams to its global index), which is precisely what
 // makes placement — and therefore stealing — unable to influence any
 // result byte.
@@ -40,7 +38,7 @@ namespace reorder::util {
 class WorkStealingPool {
  public:
   struct Options {
-    /// Worker count; 0 picks ThreadPool::hardware_threads(). More workers
+    /// Worker count; 0 picks hardware_threads(). More workers
     /// than cores is allowed (oversubscription costs context switches,
     /// never correctness — the stress tests pin this).
     std::size_t threads{0};
@@ -71,6 +69,9 @@ class WorkStealingPool {
   WorkStealingPool& operator=(const WorkStealingPool&) = delete;
 
   std::size_t size() const { return workers_.size(); }
+  /// max(1, std::thread::hardware_concurrency()) — the worker count when
+  /// a caller does not pin one.
+  static std::size_t hardware_threads();
   bool stealing_enabled() const { return options_.steal; }
 
   /// Enqueues one job onto the next deque (round-robin). Callable from

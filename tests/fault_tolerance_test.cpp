@@ -1,25 +1,35 @@
-// The fault-tolerant survey runtime, pinned end to end:
+// The fault-tolerant survey service, pinned end to end:
 //
 //   * FaultInjector decisions are a pure function of (seed, site, hit) —
 //     replaying a seed replays the exact failure sequence;
 //   * every library metric's snapshot round-trips to_json -> from_json ->
-//     merge bit-exactly (the contract checkpoint restore stands on);
-//   * kill-and-resume is byte-identical: interrupt a sharded survey after
-//     ANY k completed shards, resume from the checkpoint, and the merged
-//     JSONL and metric snapshots equal an uninterrupted run's — torn
-//     checkpoint records are detected by checksum and their shards re-run;
-//   * failed shards retry with backoff and classification (transient
-//     retries, deterministic does not), and retry exhaustion degrades the
-//     survey instead of aborting it, with the whole fleet accounted for;
+//     merge bit-exactly (the contract checkpoint restore stands on), and
+//     a record whose values would size an allocation is rejected before
+//     anything is allocated;
+//   * kill-and-resume is byte-identical: interrupt a survey after ANY k
+//     completed targets, resume from the checkpoint, and the merged JSONL
+//     and metric snapshots equal an uninterrupted run's — torn checkpoint
+//     records are detected by checksum and their targets re-run;
+//   * failed target worlds retry with backoff and classification
+//     (transient retries, deterministic does not), and retry exhaustion
+//     degrades the survey instead of aborting it, with the whole fleet
+//     accounted for;
 //   * the crash-safe JSONL writer publishes artifacts atomically and the
 //     lenient reader recovers the well-formed prefix of a torn file;
 //   * merge_fleet_streams folds two runs' artifacts into the byte-exact
 //     stream one combined run would have emitted (reorder-merge's core).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <fstream>
 #include <iterator>
+#include <memory>
+#include <numeric>
+#include <random>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -29,40 +39,40 @@
 #include "core/checkpoint.hpp"
 #include "core/fleet_merge.hpp"
 #include "core/scenario.hpp"
-#include "core/sharded_survey.hpp"
+#include "core/survey_world.hpp"
+#include "metrics/pair_metrics.hpp"
 #include "metrics/restore.hpp"
+#include "metrics/sketch.hpp"
 #include "report/sinks.hpp"
+#include "service/survey_service.hpp"
 #include "util/fault_injector.hpp"
 #include "util/shard_seeder.hpp"
 
 namespace reorder::core {
 namespace {
 
+using service::SurveyService;
+using service::SurveyServiceConfig;
 using util::Duration;
 using util::FaultInjector;
 using util::InjectedFault;
 
-SurveyTestbedConfig six_target_fleet(std::uint64_t seed = 7) {
-  SurveyTestbedConfig cfg;
-  cfg.seed = seed;
-  for (int i = 0; i < 6; ++i) {
+constexpr std::uint64_t kSeed = 7;
+constexpr int kRounds = 2;
+constexpr std::size_t kTargets = 6;
+
+std::vector<SurveyTargetConfig> six_targets() {
+  std::vector<SurveyTargetConfig> targets;
+  for (std::size_t i = 0; i < kTargets; ++i) {
     SurveyTargetConfig target;
     target.name = "host-" + std::to_string(i);
-    target.forward.swap_probability = (i % 3) * 0.11;
-    target.reverse.swap_probability = (i % 3) * 0.04;
+    target.forward.swap_probability = static_cast<double>(i % 3) * 0.11;
+    target.reverse.swap_probability = static_cast<double>(i % 3) * 0.04;
     target.remote.behavior.immediate_ack_on_hole_fill = true;
     target.tests = {TestSpec{"single-connection"}, TestSpec{"syn"}};
-    cfg.targets.push_back(std::move(target));
+    targets.push_back(std::move(target));
   }
-  return cfg;
-}
-
-ShardedSurveyConfig sharded(std::size_t shards, std::size_t threads = 2) {
-  ShardedSurveyConfig cfg;
-  cfg.fleet = six_target_fleet();
-  cfg.shards = shards;
-  cfg.threads = threads;
-  return cfg;
+  return targets;
 }
 
 TestRunConfig quick_run() {
@@ -71,13 +81,52 @@ TestRunConfig quick_run() {
   return run;
 }
 
-constexpr int kRounds = 2;
+SurveyServiceConfig service_config(std::size_t workers = 2) {
+  SurveyServiceConfig cfg;
+  cfg.seed = kSeed;
+  cfg.workers = workers;
+  cfg.run = quick_run();
+  cfg.rounds = kRounds;
+  cfg.between = Duration::millis(500);
+  return cfg;
+}
 
-std::string canonical_jsonl(const ShardedSurveyEngine& engine) {
+/// Target `index` of the fleet run alone in its own world — exactly the
+/// record a service that completed the target checkpoints.
+ShardRunResult target_world(std::size_t index) {
+  SurveyTargetConfig target = six_targets().at(index);
+  pin_target_identity(target, index, util::ShardSeeder{kSeed});
+  SurveyEngine::Options options;
+  options.retain_samples = true;
+  ShardRunResult result = run_survey_world({.seed = kSeed, .targets = {std::move(target)}},
+                                           options, {}, quick_run(), kRounds,
+                                           Duration::millis(500));
+  result.shard = index;
+  return result;
+}
+
+std::string canonical_jsonl(SurveyService& service) {
   std::ostringstream text;
   report::JsonlWriter writer{text};
-  engine.emit_jsonl(writer);
+  service.emit_jsonl(writer);
   return text.str();
+}
+
+/// A service over the whole fleet, optionally restored from `checkpoint`
+/// first, admitted and drained.
+std::unique_ptr<SurveyService> run_fleet(SurveyServiceConfig cfg,
+                                         const SurveyCheckpoint* checkpoint = nullptr) {
+  auto service = std::make_unique<SurveyService>(std::move(cfg));
+  if (checkpoint != nullptr) service->restore(*checkpoint);
+  service->admit(six_targets());
+  service->drain();
+  return service;
+}
+
+/// The uninterrupted, fault-free run every recovery path must reproduce.
+const std::string& clean_jsonl() {
+  static const std::string jsonl = canonical_jsonl(*run_fleet(service_config()));
+  return jsonl;
 }
 
 std::string metrics_jsonl(const metrics::MetricEngine& engine) {
@@ -158,7 +207,7 @@ TEST(MetricRestore, EveryLibraryMetricRoundTripsBitExactly) {
   // engine's records, restore them into a fresh engine, and demand the
   // re-rendering is byte-identical — the exact path checkpoint restore
   // and reorder-merge ingestion take.
-  ShardedSurveyConfig cfg = sharded(2);
+  SurveyServiceConfig cfg = service_config();
   cfg.suite_factory = [](std::string_view target, std::string_view test) {
     metrics::MetricSuite suite = metrics::default_suite(target, test);
     suite.add(metrics::make_metric("sequence_extent"));
@@ -168,9 +217,8 @@ TEST(MetricRestore, EveryLibraryMetricRoundTripsBitExactly) {
     suite.add(metrics::make_metric("latency_histogram"));
     return suite;
   };
-  ShardedSurveyEngine engine{std::move(cfg)};
-  engine.run(quick_run(), kRounds, Duration::millis(500));
-  const std::string original = metrics_jsonl(engine.metrics());
+  const std::unique_ptr<SurveyService> service = run_fleet(std::move(cfg));
+  const std::string original = metrics_jsonl(service->metrics());
   ASSERT_FALSE(original.empty());
 
   metrics::MetricEngine restored;
@@ -181,36 +229,112 @@ TEST(MetricRestore, EveryLibraryMetricRoundTripsBitExactly) {
 }
 
 TEST(MetricRestore, RestoredSnapshotsMergeBitExactlyWithLiveOnes) {
-  // The property resume() depends on: restoring HALF the shards from
-  // serialized snapshots and merging with the other half run live must
-  // equal the all-live batch merge bit-for-bit.
-  ShardedSurveyEngine reference{sharded(2)};
-  reference.run(quick_run(), kRounds, Duration::millis(500));
-  const std::string batch = metrics_jsonl(reference.metrics());
+  // The property checkpoint adoption depends on: restoring HALF the
+  // targets from serialized snapshots and merging with the other half run
+  // live must equal the all-live merge bit-for-bit.
+  const std::string all_live = metrics_jsonl(run_fleet(service_config())->metrics());
 
-  const ShardedSurveyEngine split{sharded(2)};
-  ShardRunResult live0 = split.run_shard(0, quick_run(), kRounds, Duration::millis(500));
-  const ShardRunResult live1 = split.run_shard(1, quick_run(), kRounds, Duration::millis(500));
-
-  metrics::MetricEngine restored1;
-  for (const report::Json& record : report::read_jsonl_text(metrics_jsonl(live1.metrics))) {
-    restored1.restore_record(record);
+  metrics::MetricEngine live;
+  metrics::MetricEngine other_half;
+  for (std::size_t i = 0; i < kTargets; ++i) {
+    (i < kTargets / 2 ? live : other_half).merge(target_world(i).metrics);
   }
-  live0.metrics.merge(restored1);
-  EXPECT_EQ(metrics_jsonl(live0.metrics), batch);
+  metrics::MetricEngine restored;
+  for (const report::Json& record : report::read_jsonl_text(metrics_jsonl(other_half))) {
+    restored.restore_record(record);
+  }
+  live.merge(restored);
+  EXPECT_EQ(metrics_jsonl(live), all_live);
 }
 
 TEST(MetricRestore, UnknownMetricNameThrows) {
   EXPECT_THROW(metrics::make_metric("no-such-metric"), std::invalid_argument);
 }
 
+TEST(MetricRestore, SizingValuesAtTheirLimitsStillRoundTrip) {
+  // The largest bucket a value can reach (UINT64_MAX's, index 1919)
+  // restores; the next index is no value's and is refused.
+  const auto sketch_with_bucket = [](std::uint64_t index) {
+    return *report::Json::parse(R"({"count":1,"min":1,"max":1,"sum":1,"buckets":[[)" +
+                                std::to_string(index) + ",1]]}");
+  };
+  metrics::TailSketch top;
+  top.add(std::numeric_limits<std::uint64_t>::max());
+  ASSERT_EQ(top.to_json().at("buckets").items().front().at(0).as_u64(), 1919u);
+  metrics::TailSketch back;
+  back.from_json(sketch_with_bucket(1919));
+  EXPECT_EQ(back.to_json().at("buckets").dump(), "[[1919,1]]");
+  EXPECT_THROW(back.from_json(sketch_with_bucket(1920)), std::invalid_argument);
+
+  // ...and so does the widest histogram a metric may be built with; one
+  // bin more is refused at construction, so no live histogram is
+  // unrestorable.
+  const metrics::LatencyHistogramMetric widest{0.0, 1000.0,
+                                               metrics::LatencyHistogramMetric::kMaxBins};
+  metrics::LatencyHistogramMetric restored;
+  restored.from_json(widest.to_json());
+  EXPECT_EQ(restored.histogram().bins(), metrics::LatencyHistogramMetric::kMaxBins);
+  EXPECT_THROW((metrics::LatencyHistogramMetric{
+                   0.0, 1000.0, metrics::LatencyHistogramMetric::kMaxBins + 1}),
+               std::invalid_argument);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define REORDER_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define REORDER_SANITIZED 1
+#endif
+#endif
+
+#ifndef REORDER_SANITIZED
+/// Runs in the death-test child: under a 1 GiB address-space limit,
+/// restores suites whose records pick an allocation size — a late_time
+/// bucket index of 4e12 (a 32 TB bucket array) and a latency_histogram of
+/// 600M bins (4.8 GB of zeroed counts). Both must be refused with
+/// std::invalid_argument; sizing by the value dies of bad_alloc.
+int value_sized_restore_child() {
+  rlimit limit{};
+  if (getrlimit(RLIMIT_AS, &limit) != 0) return 3;
+  limit.rlim_cur = rlim_t{1} << 30;
+  if (setrlimit(RLIMIT_AS, &limit) != 0) return 3;
+
+  const char* hostile[] = {
+      R"({"late_time":{"count":1,"min":1,"max":1,"mean":1.0,"p50":1,"p90":1,"p99":1,)"
+      R"("sum":1,"buckets":[[4000000000000,1]]}})",
+      R"({"latency_histogram":{"count":0,"underflow":0,"overflow":0,"lo":0.0,)"
+      R"("hi":1000000.0,"nbins":600000000,"bins":[]}})",
+  };
+  for (const char* text : hostile) {
+    const std::optional<report::Json> suite = report::Json::parse(text);
+    if (!suite) return 2;
+    try {
+      metrics::suite_from_json(*suite);
+      return 1;  // accepted
+    } catch (const std::invalid_argument&) {
+    }
+  }
+  return 0;
+}
+#endif
+
+TEST(MetricRestore, ValueSizedRecordsAreRejectedUnderAOneGibAddressLimit) {
+#ifdef REORDER_SANITIZED
+  // ASan and TSan reserve terabytes of shadow address space up front, so
+  // no address-space limit can hold under them.
+  GTEST_SKIP() << "address-space limits do not apply under ASan/TSan";
+#else
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(_exit(value_sized_restore_child()), ::testing::ExitedWithCode(0), "");
+#endif
+}
+
 // ------------------------------------------------------ checkpoint codec
 
 TEST(Checkpoint, MeasurementCodecIsFullFidelity) {
-  ShardedSurveyEngine engine{sharded(1, 1)};
-  engine.run(quick_run(), 1, Duration::millis(500));
-  ASSERT_FALSE(engine.measurements().empty());
-  for (const Measurement& m : engine.measurements()) {
+  const ShardRunResult world = target_world(1);
+  ASSERT_FALSE(world.log.empty());
+  for (const Measurement& m : world.log) {
     const Measurement back = measurement_from_json(measurement_to_json(m));
     EXPECT_EQ(back.target, m.target);
     EXPECT_EQ(back.test, m.test);
@@ -238,11 +362,10 @@ TEST(Checkpoint, MeasurementCodecIsFullFidelity) {
 }
 
 TEST(Checkpoint, SerializeLoadRoundTripsAndChecksumGuardsEveryRecord) {
-  const ShardedSurveyEngine engine{sharded(3)};
   SurveyCheckpoint cp;
-  cp.set_header({3, 6, kRounds, 7});
-  cp.record_shard(engine.run_shard(0, quick_run(), kRounds, Duration::millis(500)), 2);
-  cp.record_shard(engine.run_shard(2, quick_run(), kRounds, Duration::millis(500)), 1);
+  cp.set_header({0, kTargets, kRounds, kSeed});
+  cp.record_shard(target_world(0), 2);
+  cp.record_shard(target_world(2), 1);
 
   const std::string path = "/tmp/reorder_ckpt_roundtrip.jsonl";
   cp.save(path);
@@ -250,8 +373,8 @@ TEST(Checkpoint, SerializeLoadRoundTripsAndChecksumGuardsEveryRecord) {
   std::remove(path.c_str());
 
   ASSERT_TRUE(loaded.header().has_value());
-  EXPECT_EQ(loaded.header()->shards, 3u);
-  EXPECT_EQ(loaded.header()->seed, 7u);
+  EXPECT_EQ(loaded.header()->shards, 0u);
+  EXPECT_EQ(loaded.header()->seed, kSeed);
   EXPECT_EQ(loaded.completed_shards(), (std::vector<std::size_t>{0, 2}));
   EXPECT_FALSE(loaded.has_shard(1));
   EXPECT_EQ(loaded.attempts(0), 2);
@@ -260,7 +383,7 @@ TEST(Checkpoint, SerializeLoadRoundTripsAndChecksumGuardsEveryRecord) {
   EXPECT_EQ(loaded.serialize(), cp.serialize());
 
   // Flip one byte inside a record's body: its checksum must disown it
-  // (the shard re-runs) while the intact record survives.
+  // (the target re-runs) while the intact record survives.
   std::string text = cp.serialize();
   const std::size_t flip = text.find("\"log\"");
   ASSERT_NE(flip, std::string::npos);
@@ -279,12 +402,11 @@ TEST(Checkpoint, SerializeLoadRoundTripsAndChecksumGuardsEveryRecord) {
 // bytes. Pin them to what the record renders to as a Json tree — type,
 // shard, crc, body, with the body's metric records parsed back from the
 // engine's own emission — over the awkward corners of the encoding: a uid
-// past 2^53 (rendered as a u64 string), non-integer doubles (the shard's
+// past 2^53 (rendered as a u64 string), non-integer doubles (the world's
 // reordering rates), and a note holding a quote, a newline and a control
 // byte.
 TEST(Checkpoint, StoredRecordIsTheTreeRenderingAndSaveWritesIt) {
-  const ShardedSurveyEngine engine{sharded(3)};
-  ShardRunResult result = engine.run_shard(1, quick_run(), kRounds, Duration::millis(500));
+  ShardRunResult result = target_world(1);
   ASSERT_FALSE(result.log.empty());
   ASSERT_FALSE(result.log[0].result.samples.empty());
   constexpr std::uint64_t kBigUid = (1ull << 53) + 8;
@@ -327,7 +449,7 @@ TEST(Checkpoint, StoredRecordIsTheTreeRenderingAndSaveWritesIt) {
   ASSERT_NE(expected.find("\"rate\":0.0"), std::string::npos) << "a non-integer metric rate";
   EXPECT_EQ(cp.serialize(), expected);
 
-  cp.set_header({3, 6, kRounds, 7});
+  cp.set_header({0, kTargets, kRounds, kSeed});
   const std::string path = "/tmp/reorder_ckpt_golden.jsonl";
   cp.save(path);
   std::string written;
@@ -349,7 +471,7 @@ TEST(Checkpoint, StoredRecordIsTheTreeRenderingAndSaveWritesIt) {
 // overflow, and the header beside it survives.
 TEST(Checkpoint, DeeplyNestedLineLoadsAsOneTornRecord) {
   SurveyCheckpoint header_only;
-  header_only.set_header({3, 6, kRounds, 7});
+  header_only.set_header({0, kTargets, kRounds, kSeed});
   const std::string path = "/tmp/reorder_ckpt_nested.jsonl";
   {
     std::ofstream out{path, std::ios::trunc};
@@ -373,60 +495,61 @@ TEST(Checkpoint, MissingFileLoadsEmpty) {
 
 class KillAndResume : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(KillAndResume, ResumeAfterAnyShardCountIsByteIdentical) {
-  const std::size_t shards = GetParam();
+TEST_P(KillAndResume, ResumeAfterAnyKillPointIsByteIdentical) {
+  const std::size_t workers = GetParam();
+  const std::string ref_metrics = metrics_jsonl(run_fleet(service_config(workers))->metrics());
 
-  // The uninterrupted reference.
-  ShardedSurveyEngine reference{sharded(shards)};
-  reference.run(quick_run(), kRounds, Duration::millis(500));
-  const std::string ref_jsonl = canonical_jsonl(reference);
-  const std::string ref_metrics = metrics_jsonl(reference.metrics());
+  // Completion order on a pool is free, so a killed run's checkpoint may
+  // hold any subset: kill points walk a seeded permutation of the fleet.
+  std::vector<std::size_t> order(kTargets);
+  std::iota(order.begin(), order.end(), 0u);
+  std::shuffle(order.begin(), order.end(), std::mt19937{static_cast<unsigned>(workers)});
 
-  const std::string path = "/tmp/reorder_ckpt_resume.jsonl";
-  for (std::size_t k = 0; k < shards; ++k) {
-    // "Kill" after exactly k completed shards: record the first k shard
-    // results (run_shard is pure, so these are the bytes a killed run's
-    // checkpoint would hold) and resume from there.
-    const ShardedSurveyEngine partial{sharded(shards)};
-    SurveyCheckpoint cp;
-    cp.set_header({shards, 6, kRounds, 7});
-    for (std::size_t s = 0; s < k; ++s) {
-      cp.record_shard(partial.run_shard(s, quick_run(), kRounds, Duration::millis(500)));
+  const std::string path = testing::TempDir() + "reorder_ckpt_resume.jsonl";
+  for (std::size_t k = 0; k <= kTargets; ++k) {
+    // "Kill" after exactly k completed targets: a service generation that
+    // admitted only those k at their global indices wrote the checkpoint
+    // a killed run would leave behind.
+    std::remove(path.c_str());
+    {
+      SurveyServiceConfig cfg = service_config(workers);
+      cfg.checkpoint_path = path;
+      SurveyService killed{cfg};
+      const std::vector<SurveyTargetConfig> fleet = six_targets();
+      for (std::size_t i = 0; i < k; ++i) killed.admit(fleet[order[i]], order[i]);
+      killed.stop();
     }
-    cp.save(path);
+    const SurveyCheckpoint cp = SurveyCheckpoint::load(path);
+    ASSERT_EQ(cp.completed_count(), k);
 
-    ShardedSurveyEngine resumed{sharded(shards)};
-    resumed.resume(SurveyCheckpoint::load(path), quick_run(), kRounds, Duration::millis(500));
-    EXPECT_FALSE(resumed.degraded());
-    EXPECT_EQ(canonical_jsonl(resumed), ref_jsonl) << "k=" << k;
-    EXPECT_EQ(metrics_jsonl(resumed.metrics()), ref_metrics) << "k=" << k;
+    const std::unique_ptr<SurveyService> resumed = run_fleet(service_config(workers), &cp);
+    EXPECT_FALSE(resumed->degraded());
+    for (std::size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(resumed->attempts(order[i]), 0) << "k=" << k << ": adopted, not re-run";
+    }
+    EXPECT_EQ(canonical_jsonl(*resumed), clean_jsonl()) << "k=" << k;
+    EXPECT_EQ(metrics_jsonl(resumed->metrics()), ref_metrics) << "k=" << k;
   }
   std::remove(path.c_str());
 }
 
-INSTANTIATE_TEST_SUITE_P(ShardCounts, KillAndResume, ::testing::Values(1u, 2u, 3u, 8u),
+INSTANTIATE_TEST_SUITE_P(WorkerCounts, KillAndResume, ::testing::Values(1u, 2u, 4u),
                          [](const ::testing::TestParamInfo<std::size_t>& info) {
-                           return "shards_" + std::to_string(info.param);
+                           return "workers_" + std::to_string(info.param);
                          });
 
-TEST(KillAndResumeTorn, TornCheckpointRecordsAreDetectedAndTheirShardsReRun) {
-  constexpr std::size_t kShards = 3;
-  ShardedSurveyEngine reference{sharded(kShards)};
-  reference.run(quick_run(), kRounds, Duration::millis(500));
-  const std::string ref_jsonl = canonical_jsonl(reference);
-
-  // A checkpoint holding shards {0, 1}, with shard 1's record torn
+TEST(KillAndResumeTorn, TornCheckpointRecordsAreDetectedAndTheirTargetsReRun) {
+  // A checkpoint holding targets {0, 1}, with target 1's record torn
   // mid-write (the file ends mid-line, as a killed writer leaves it).
-  const ShardedSurveyEngine partial{sharded(kShards)};
   SurveyCheckpoint cp;
-  cp.set_header({kShards, 6, kRounds, 7});
-  cp.record_shard(partial.run_shard(0, quick_run(), kRounds, Duration::millis(500)));
-  cp.record_shard(partial.run_shard(1, quick_run(), kRounds, Duration::millis(500)));
+  cp.set_header({0, kTargets, kRounds, kSeed});
+  cp.record_shard(target_world(0));
+  cp.record_shard(target_world(1));
   std::string text = cp.serialize();
   const std::size_t first_nl = text.find('\n');
   const std::size_t second_nl = text.find('\n', first_nl + 1);
   ASSERT_NE(second_nl, std::string::npos);
-  const std::size_t last_begin = second_nl + 1;  // shard 1's record starts here
+  const std::size_t last_begin = second_nl + 1;  // target 1's record starts here
   ASSERT_LT(last_begin, text.size());
   text.resize(last_begin + (text.size() - last_begin) / 2);  // tear it mid-write
 
@@ -440,144 +563,134 @@ TEST(KillAndResumeTorn, TornCheckpointRecordsAreDetectedAndTheirShardsReRun) {
   EXPECT_EQ(loaded.completed_count(), 1u);
   EXPECT_GE(loaded.torn_records(), 1u);
 
-  ShardedSurveyEngine resumed{sharded(kShards)};
-  resumed.resume(loaded, quick_run(), kRounds, Duration::millis(500));
-  EXPECT_EQ(canonical_jsonl(resumed), ref_jsonl);
+  const std::unique_ptr<SurveyService> resumed = run_fleet(service_config(), &loaded);
+  EXPECT_EQ(resumed->attempts(0), 0);
+  EXPECT_EQ(resumed->attempts(1), 1) << "the torn target re-ran";
+  EXPECT_EQ(canonical_jsonl(*resumed), clean_jsonl());
 }
 
 TEST(KillAndResume, MismatchedPlanIsRejected) {
-  SurveyCheckpoint cp;
-  cp.set_header({4, 6, kRounds, 7});  // 4 shards...
-  ShardedSurveyEngine engine{sharded(3)};  // ...resumed on a 3-shard plan
-  EXPECT_THROW(engine.resume(cp, quick_run(), kRounds, Duration::millis(500)),
-               std::invalid_argument);
+  SurveyCheckpoint shard_keyed;
+  shard_keyed.set_header({4, kTargets, kRounds, kSeed});  // a shard-keyed layout
+  SurveyCheckpoint other_rounds;
+  other_rounds.set_header({0, kTargets, kRounds + 1, kSeed});
+  SurveyService service{service_config()};
+  EXPECT_THROW(service.restore(shard_keyed), std::invalid_argument);
+  EXPECT_THROW(service.restore(other_rounds), std::invalid_argument);
 }
 
 // ------------------------------------------------ retry and degradation
 
 TEST(RetryPolicy, TransientFaultsAreRetriedUntilTheyStop) {
   FaultInjector faults{11};
-  // Shard 1's first two attempts die in-flight; the third succeeds.
+  // Target 1's first two attempts die in-flight; the third succeeds.
   faults.arm({"shard/1/run", FaultInjector::Mode::kThrow, 1.0, 2, true});
 
-  ShardedSurveyConfig cfg = sharded(3);
+  SurveyServiceConfig cfg = service_config();
   cfg.engine.faults = &faults;
   cfg.retry.max_attempts = 3;
-  ShardedSurveyEngine engine{std::move(cfg)};
-  engine.run(quick_run(), kRounds, Duration::millis(500));
+  const std::unique_ptr<SurveyService> service = run_fleet(std::move(cfg));
 
-  EXPECT_FALSE(engine.degraded());
-  EXPECT_EQ(engine.shard_attempts(1), 3);
-  EXPECT_EQ(engine.shard_attempts(0), 1);
+  EXPECT_FALSE(service->degraded());
+  EXPECT_EQ(service->attempts(1), 3);
+  EXPECT_EQ(service->attempts(0), 1);
   EXPECT_EQ(faults.fired("shard/1/run"), 2u);
 
   // And the retried run's output is byte-identical to a fault-free one:
-  // a shard attempt is pure, so dying twice leaves no residue.
-  ShardedSurveyEngine clean{sharded(3)};
-  clean.run(quick_run(), kRounds, Duration::millis(500));
-  EXPECT_EQ(canonical_jsonl(engine), canonical_jsonl(clean));
+  // a world attempt is pure, so dying twice leaves no residue.
+  EXPECT_EQ(canonical_jsonl(*service), clean_jsonl());
 }
 
 TEST(RetryPolicy, ExhaustionDegradesTheSurveyWithFullFleetAccounting) {
   FaultInjector faults{11};
   faults.arm({"shard/1/abort", FaultInjector::Mode::kShardAbort, 1.0, 0, true});
 
-  ShardedSurveyConfig cfg = sharded(3);
+  const std::string path = testing::TempDir() + "reorder_ckpt_degraded.jsonl";
+  std::remove(path.c_str());
+  SurveyServiceConfig cfg = service_config();
   cfg.engine.faults = &faults;
   cfg.retry.max_attempts = 2;
-  ShardedSurveyEngine engine{std::move(cfg)};
-  const std::vector<std::size_t> shard1_targets = engine.shard_targets(1);
-  engine.run(quick_run(), kRounds, Duration::millis(500));
+  cfg.checkpoint_path = path;
+  const std::unique_ptr<SurveyService> service = run_fleet(std::move(cfg));
 
-  EXPECT_TRUE(engine.degraded());
-  EXPECT_EQ(engine.shard_attempts(1), 2);
-  EXPECT_EQ(engine.failed_shard_indices(), (std::vector<std::size_t>{1}));
-  ASSERT_EQ(engine.failure_messages().size(), 1u);
-  EXPECT_NE(engine.failure_messages()[0].find("shard/1/abort"), std::string::npos);
+  EXPECT_TRUE(service->degraded());
+  EXPECT_EQ(service->attempts(1), 2);
+  EXPECT_EQ(service->failed_target_indices(), (std::vector<std::size_t>{1}));
+  ASSERT_EQ(service->failure_messages().size(), 1u);
+  EXPECT_NE(service->failure_messages()[0].find("shard/1/abort"), std::string::npos);
 
   // survey_end accounts for the WHOLE fleet: participants + failed
-  // targets == configured targets, and the failed names are shard 1's.
-  const SurveyEvent& end = engine.survey_end();
+  // targets == admitted targets, and the failed name is target 1's.
+  const SurveyEvent end = service->survey_end();
   EXPECT_TRUE(end.degraded);
   EXPECT_EQ(end.failed_shards, 1u);
-  EXPECT_EQ(end.targets + end.failed_targets.size(), 6u);
-  EXPECT_EQ(end.failed_targets.size(), shard1_targets.size());
-  for (const std::size_t i : shard1_targets) {
-    EXPECT_NE(std::find(end.failed_targets.begin(), end.failed_targets.end(),
-                        "host-" + std::to_string(i)),
-              end.failed_targets.end());
-  }
+  EXPECT_EQ(end.targets + end.failed_targets.size(), kTargets);
+  EXPECT_EQ(end.failed_targets, (std::vector<std::string>{"host-1"}));
 
   // The participation manifest names every target exactly once.
-  const auto manifest = engine.participation();
-  ASSERT_EQ(manifest.size(), 6u);
+  const auto manifest = service->participation();
+  ASSERT_EQ(manifest.size(), kTargets);
   std::size_t participated = 0;
   for (const auto& [name, ok] : manifest) participated += ok ? 1 : 0;
   EXPECT_EQ(participated, end.targets);
 
   // The degraded emission carries the accounting: survey_end's tail and
   // the trailing participation record.
-  const std::string jsonl = canonical_jsonl(engine);
+  const std::string jsonl = canonical_jsonl(*service);
   const std::vector<report::Json> records = report::read_jsonl_text(jsonl);
   const report::Json& last = records.back();
   EXPECT_EQ(last.at("type").as_string(), "participation");
-  EXPECT_EQ(last.at("targets").size(), 6u);
+  EXPECT_EQ(last.at("targets").size(), kTargets);
   bool saw_end = false;
   for (const report::Json& r : records) {
     if (r.at("type").as_string() != "survey_end") continue;
     saw_end = true;
     EXPECT_TRUE(r.at("degraded").as_bool());
     EXPECT_EQ(r.at("failed_shards").as_int(), 1);
-    EXPECT_EQ(r.at("failed_targets").size(), shard1_targets.size());
+    EXPECT_EQ(r.at("failed_targets").size(), 1u);
   }
   EXPECT_TRUE(saw_end);
 
   // A degraded run's checkpoint resumes to a CLEAN survey once the fault
-  // is gone: the failed shard is simply pending.
-  SurveyCheckpoint cp;
-  cp.set_header({3, 6, kRounds, 7});
-  const ShardedSurveyEngine rebuild{sharded(3)};
-  cp.record_shard(rebuild.run_shard(0, quick_run(), kRounds, Duration::millis(500)));
-  cp.record_shard(rebuild.run_shard(2, quick_run(), kRounds, Duration::millis(500)));
-  ShardedSurveyEngine healed{sharded(3)};
-  healed.resume(cp, quick_run(), kRounds, Duration::millis(500));
-  EXPECT_FALSE(healed.degraded());
-  ShardedSurveyEngine clean{sharded(3)};
-  clean.run(quick_run(), kRounds, Duration::millis(500));
-  EXPECT_EQ(canonical_jsonl(healed), canonical_jsonl(clean));
+  // is gone: the failed target is simply pending.
+  service->stop();
+  const SurveyCheckpoint cp = SurveyCheckpoint::load(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(cp.completed_count(), kTargets - 1);
+  EXPECT_FALSE(cp.has_shard(1));
+  const std::unique_ptr<SurveyService> healed = run_fleet(service_config(), &cp);
+  EXPECT_FALSE(healed->degraded());
+  EXPECT_EQ(canonical_jsonl(*healed), clean_jsonl());
 }
 
 TEST(RetryPolicy, NonTransientFaultsAreNotRetried) {
   FaultInjector faults{11};
   faults.arm({"shard/0/run", FaultInjector::Mode::kThrow, 1.0, 0, /*transient=*/false});
 
-  ShardedSurveyConfig cfg = sharded(2);
+  SurveyServiceConfig cfg = service_config();
   cfg.engine.faults = &faults;
   cfg.retry.max_attempts = 5;
-  ShardedSurveyEngine engine{std::move(cfg)};
-  engine.run(quick_run(), kRounds, Duration::millis(500));
+  const std::unique_ptr<SurveyService> service = run_fleet(std::move(cfg));
 
-  EXPECT_TRUE(engine.degraded());
+  EXPECT_TRUE(service->degraded());
   // One attempt only: a deterministic failure would fail all five.
-  EXPECT_EQ(engine.shard_attempts(0), 1);
+  EXPECT_EQ(service->attempts(0), 1);
   EXPECT_EQ(faults.fired("shard/0/run"), 1u);
 }
 
-TEST(TargetTimeout, InjectedTimeoutIsDeterministicAndShardInvariant) {
-  const auto run_with_faults = [](std::size_t shards) {
+TEST(TargetTimeout, InjectedTimeoutIsDeterministicAndPlacementInvariant) {
+  const auto run_with_faults = [](std::size_t workers) {
     FaultInjector faults{5};
     // host-2's syn measurements: the first probe of that site fires, so
-    // exactly one measurement times out, identically for any shard count
+    // exactly one measurement times out, identically for any worker count
     // (the site is identity-qualified, not schedule-qualified).
     faults.arm({"target/host-2/test/syn", FaultInjector::Mode::kTargetTimeout, 1.0, 1, true});
-    ShardedSurveyConfig cfg = sharded(shards);
+    SurveyServiceConfig cfg = service_config(workers);
     cfg.engine.faults = &faults;
     // The injected timeout runs the full measurement deadline in virtual
     // time; keep it short so the test stays fast.
     cfg.engine.measurement_deadline = Duration::seconds(30);
-    ShardedSurveyEngine engine{std::move(cfg)};
-    engine.run(quick_run(), kRounds, Duration::millis(500));
-    return canonical_jsonl(engine);
+    return canonical_jsonl(*run_fleet(std::move(cfg)));
   };
 
   const std::string one = run_with_faults(1);
@@ -693,34 +806,25 @@ TEST(FlakyTarget, SynDropsAndRateLimitingAreExercisedYetMeasurementsComplete) {
 // --------------------------------------------------- fleet-stream merge
 
 TEST(FleetMerge, TwoRunsFoldIntoTheCombinedRunsBytes) {
-  // Two survey runs over DISJOINT fleet slices, every target's stochastic
-  // identity pinned explicitly so the combined run measures the exact
-  // same worlds.
+  // Two services over DISJOINT fleet slices, each admitting its targets
+  // at their explicit global indices, so every target's pinned identity
+  // is the one the combined run gives it.
   const auto make_target = [](std::size_t i) {
     SurveyTargetConfig target;
     target.name = "m-" + std::to_string(i);
-    target.address = tcpip::Ipv4Address::from_octets(10, 1, 0, static_cast<std::uint8_t>(10 + i));
-    target.forward.swap_probability = (i % 2) * 0.13;
+    target.forward.swap_probability = static_cast<double>(i % 2) * 0.13;
     target.remote.behavior.immediate_ack_on_hole_fill = true;
     target.tests = {TestSpec{"single-connection"}, TestSpec{"syn"}};
-    const util::TargetSeeds seeds = util::ShardSeeder{99}.target(i);
-    target.host_seed = seeds.host_seed;
-    target.ipid_initial = seeds.ipid_initial;
-    target.forward_path_tag = seeds.forward_tag;
-    target.reverse_path_tag = seeds.reverse_tag;
     return target;
   };
   const auto run_slice = [&](std::size_t begin, std::size_t end) {
-    ShardedSurveyConfig cfg;
-    cfg.fleet.seed = 99;
-    for (std::size_t i = begin; i < end; ++i) cfg.fleet.targets.push_back(make_target(i));
-    cfg.shards = 2;
-    cfg.threads = 2;
-    ShardedSurveyEngine engine{std::move(cfg)};
-    engine.run(quick_run(), kRounds, Duration::millis(500));
-    return canonical_jsonl(engine);
+    SurveyServiceConfig cfg = service_config();
+    cfg.seed = 99;
+    SurveyService service{cfg};
+    for (std::size_t i = begin; i < end; ++i) service.admit(make_target(i), i);
+    service.drain();
+    return canonical_jsonl(service);
   };
-
   const std::string east = run_slice(0, 2);
   const std::string west = run_slice(2, 4);
   const std::string combined = run_slice(0, 4);

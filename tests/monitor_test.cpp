@@ -14,8 +14,8 @@
 //     false-positives at ANY budget, the one-sided detectors never
 //     false-positive anywhere, evade-window defeats exactly the window
 //     sketch at small K, flood-flows defeats exactly the small table;
-//   * monitor snapshots ride the sharded survey runtime: per-shard
-//     engines merged over {1, 2, 8} shards emit byte-identical JSONL.
+//   * monitor snapshots ride the survey service: per-worker engines
+//     merged over {1, 2, 8} workers emit byte-identical JSONL.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -24,11 +24,11 @@
 #include <string>
 #include <vector>
 
-#include "core/sharded_survey.hpp"
 #include "metrics/sequence_metrics.hpp"
 #include "monitor/detectors.hpp"
 #include "monitor/differential.hpp"
 #include "monitor/engine.hpp"
+#include "service/survey_service.hpp"
 #include "util/random.hpp"
 
 namespace reorder::monitor {
@@ -312,44 +312,47 @@ TEST(Differential, AccuracyBoundsAcrossTheSweep) {
   }
 }
 
-// ------------------------------------------------------- shard invariance
+// ------------------------------------------------------ worker invariance
 
-core::SurveyTestbedConfig monitor_fleet(std::uint64_t seed = 21) {
-  core::SurveyTestbedConfig cfg;
-  cfg.seed = seed;
+std::vector<core::SurveyTargetConfig> monitor_fleet() {
+  std::vector<core::SurveyTargetConfig> targets;
   for (int i = 0; i < 6; ++i) {
     core::SurveyTargetConfig target;
     target.name = "host-" + std::to_string(i);
     target.forward.swap_probability = (i % 3) * 0.12;
     target.remote.behavior.immediate_ack_on_hole_fill = true;
     target.tests = {core::TestSpec{"single-connection"}, core::TestSpec{"syn"}};
-    cfg.targets.push_back(std::move(target));
+    targets.push_back(std::move(target));
   }
-  return cfg;
+  return targets;
 }
 
-std::string monitor_jsonl_for_shards(std::uint64_t shards) {
-  core::ShardedSurveyConfig cfg;
-  cfg.fleet = monitor_fleet();
-  cfg.shards = shards;
-  cfg.threads = 2;
-  core::ShardedSurveyEngine survey{cfg};
-  core::TestRunConfig run;
-  run.samples = 6;
+/// The fleet surveyed on `workers` service workers, its measurements fed
+/// to one monitor engine per worker (each target's stream to the engine
+/// of the worker its admission round-robins to), the engines merged.
+std::string monitor_jsonl_for_workers(std::size_t workers) {
+  service::SurveyServiceConfig cfg;
+  cfg.seed = 21;
+  cfg.workers = workers;
+  cfg.run.samples = 6;
+  cfg.rounds = 2;
+  cfg.between = util::Duration::millis(500);
+  service::SurveyService survey{cfg};
+  const std::vector<core::SurveyTargetConfig> fleet = monitor_fleet();
+  const std::vector<std::size_t> indices = survey.admit(fleet);
+  survey.drain();
 
+  std::map<std::string, std::size_t> owner;
+  for (std::size_t i = 0; i < fleet.size(); ++i) owner[fleet[i].name] = indices[i] % workers;
   MonitorConfig mc;
   mc.table.slots = 1024;  // >= the fleet's (target, test) flow count: no evictions
   std::vector<MonitorEngine> engines;
-  for (std::uint64_t shard = 0; shard < shards; ++shard) {
-    const core::ShardRunResult result =
-        survey.run_shard(shard, run, 2, util::Duration::millis(500));
-    MonitorEngine engine{mc};
-    MonitorSink sink{engine};
-    std::size_t index = 0;
-    for (const core::Measurement& m : result.log) {
-      core::publish_result(sink, m.target, m.test, m.at, m.result, index++);
-    }
-    engines.push_back(std::move(engine));
+  std::vector<std::size_t> published(workers, 0);
+  for (std::size_t w = 0; w < workers; ++w) engines.emplace_back(mc);
+  for (const core::Measurement& m : survey.measurements()) {
+    const std::size_t w = owner.at(m.target);
+    MonitorSink sink{engines[w]};
+    core::publish_result(sink, m.target, m.test, m.at, m.result, published[w]++);
   }
   for (std::size_t i = 1; i < engines.size(); ++i) engines.front().merge(engines[i]);
   std::ostringstream text;
@@ -358,11 +361,11 @@ std::string monitor_jsonl_for_shards(std::uint64_t shards) {
   return text.str();
 }
 
-TEST(MonitorEngine, ShardCountCannotLeakIntoSnapshots) {
-  const std::string one = monitor_jsonl_for_shards(1);
+TEST(MonitorEngine, WorkerCountCannotLeakIntoSnapshots) {
+  const std::string one = monitor_jsonl_for_workers(1);
   ASSERT_NE(one.find("\"type\":\"monitor\""), std::string::npos);
-  EXPECT_EQ(monitor_jsonl_for_shards(2), one);
-  EXPECT_EQ(monitor_jsonl_for_shards(8), one);
+  EXPECT_EQ(monitor_jsonl_for_workers(2), one);
+  EXPECT_EQ(monitor_jsonl_for_workers(8), one);
 }
 
 }  // namespace

@@ -35,7 +35,7 @@ TEST(Registry, AliasesResolveToCanonicalNames) {
 }
 
 TEST(Registry, ConcurrentRegistrationAndLookupIsSafe) {
-  // The sharded survey runtime resolves techniques from worker threads
+  // The survey service resolves techniques from worker threads
   // while other code may still be registering variants — registration and
   // lookup must be mutually safe (regression: the maps used to be
   // unguarded, which TSAN flags and std::map corruption punishes).

@@ -1,8 +1,9 @@
-// util::ThreadPool: the sharded runtime's execution substrate. Jobs all
-// run exactly once, worker exceptions surface at the join point, and
-// destruction drains the queue. Plus util::WorkStealingPool, the survey
-// service's scheduler: the same contracts under stealing, oversubscription
-// and empty-victim races, with the steal counters accounting exactly.
+// util::WorkStealingPool, the survey service's scheduler and the one
+// worker pool: jobs all run exactly once and spread across workers,
+// worker exceptions surface at the join point, destruction drains every
+// deque — under stealing, in the per-worker FIFO fallback, under
+// oversubscription and empty-victim races — and the steal counters
+// account exactly.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,71 +15,42 @@
 #include <thread>
 #include <vector>
 
-#include "util/thread_pool.hpp"
 #include "util/work_stealing_pool.hpp"
 
 namespace reorder::util {
 namespace {
 
-TEST(ThreadPool, RunsEveryJobExactlyOnce) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool{4};
-    std::vector<std::future<void>> done;
-    for (int i = 0; i < 100; ++i) {
-      done.push_back(pool.submit([&counter] { counter.fetch_add(1); }));
-    }
-    for (auto& f : done) f.get();
-    EXPECT_EQ(counter.load(), 100);
-  }
-}
-
-TEST(ThreadPool, SpreadsWorkAcrossWorkers) {
+TEST(WorkStealingPool, SpreadsWorkAcrossWorkers) {
   std::mutex mu;
   std::set<std::thread::id> workers;
   std::atomic<int> rendezvous{0};
-  ThreadPool pool{2};
-  std::vector<std::future<void>> done;
-  for (int i = 0; i < 2; ++i) {
-    done.push_back(pool.submit([&] {
-      // Hold both workers in the job until each has arrived, so two
-      // distinct threads must participate.
-      rendezvous.fetch_add(1);
-      while (rendezvous.load() < 2) std::this_thread::yield();
-      const std::lock_guard<std::mutex> lock{mu};
-      workers.insert(std::this_thread::get_id());
-    }));
-  }
-  for (auto& f : done) f.get();
-  EXPECT_EQ(workers.size(), 2u);
-}
-
-TEST(ThreadPool, ExceptionsSurfaceThroughTheFuture) {
-  ThreadPool pool{2};
-  auto ok = pool.submit([] {});
-  auto bad = pool.submit([] { throw std::runtime_error{"shard failed"}; });
-  EXPECT_NO_THROW(ok.get());
-  EXPECT_THROW(bad.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, DestructionDrainsPendingJobs) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool{1};
-    for (int i = 0; i < 8; ++i) {
-      pool.submit([&counter] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        counter.fetch_add(1);
-      });
+  for (const bool steal : {true, false}) {
+    workers.clear();
+    rendezvous.store(0);
+    WorkStealingPool::Options options;
+    options.threads = 2;
+    options.steal = steal;
+    WorkStealingPool pool{options};
+    std::vector<std::future<void>> done;
+    for (int i = 0; i < 2; ++i) {
+      done.push_back(pool.submit([&] {
+        // Hold both workers in the job until each has arrived, so two
+        // distinct threads must participate.
+        rendezvous.fetch_add(1);
+        while (rendezvous.load() < 2) std::this_thread::yield();
+        const std::lock_guard<std::mutex> lock{mu};
+        workers.insert(std::this_thread::get_id());
+      }));
     }
-  }  // ~ThreadPool joins only after the queue is empty
-  EXPECT_EQ(counter.load(), 8);
+    for (auto& f : done) f.get();
+    EXPECT_EQ(workers.size(), 2u) << "steal=" << steal;
+  }
 }
 
-TEST(ThreadPool, ClampsToAtLeastOneWorker) {
-  ThreadPool pool{0};
-  EXPECT_EQ(pool.size(), 1u);
-  EXPECT_GE(ThreadPool::hardware_threads(), 1u);
+TEST(WorkStealingPool, ZeroWorkersPicksTheHardwareThreadCount) {
+  WorkStealingPool pool{0};
+  EXPECT_GE(WorkStealingPool::hardware_threads(), 1u);
+  EXPECT_EQ(pool.size(), WorkStealingPool::hardware_threads());
 }
 
 TEST(WorkStealingPool, RunsEveryJobExactlyOnceWithStealing) {
@@ -95,7 +67,7 @@ TEST(WorkStealingPool, RunsEveryJobExactlyOnceWithStealing) {
 TEST(WorkStealingPool, SurvivesOversubscription) {
   // Far more workers than cores: correctness must not depend on every
   // worker making progress promptly (context switches only cost time).
-  const std::size_t threads = 4 * ThreadPool::hardware_threads();
+  const std::size_t threads = 4 * WorkStealingPool::hardware_threads();
   std::atomic<int> counter{0};
   WorkStealingPool pool{threads};
   EXPECT_EQ(pool.size(), threads);
@@ -180,10 +152,10 @@ TEST(WorkStealingPool, StealsFromABlockedWorkersDeque) {
 }
 
 TEST(WorkStealingPool, FifoFallbackMatchesSubmissionOrder) {
-  // steal=false with one worker must degenerate to exactly ThreadPool's
-  // FIFO; the steal-mode owner pop is front-first, so a single steal-mode
-  // worker preserves the same order — the equivalence the service's
-  // no-steal mode relies on.
+  // steal=false with one worker must run jobs in exactly their submission
+  // order (FIFO); the steal-mode owner pop is front-first, so a single
+  // steal-mode worker preserves the same order — the equivalence the
+  // service's no-steal mode relies on.
   for (const bool steal : {false, true}) {
     WorkStealingPool::Options options;
     options.threads = 1;

@@ -1,7 +1,7 @@
 // reorder-merge: fold the canonical JSONL artifacts of N survey runs
 // into one fleet-wide report.
 //
-// A production survey is many survey_fleet processes — different
+// A production survey is many survey_service processes — different
 // machines, different fleet slices, different days — each leaving one
 // canonical JSONL stream. This tool merges them into the stream one run
 // over the combined fleet would have produced: measurements re-sorted
@@ -10,8 +10,8 @@
 // lifecycle and degraded-mode accounting summed so the combined fleet
 // stays fully accounted for.
 //
-//   $ survey_fleet --targets=8 --shards=4 --jsonl=east.jsonl  ...
-//   $ survey_fleet --targets=8 --shards=4 --jsonl=west.jsonl  ...
+//   $ survey_service --admit=east.txt --jsonl=east.jsonl  ...
+//   $ survey_service --admit=west.txt --jsonl=west.jsonl  ...
 //   $ reorder-merge --out=fleet.jsonl east.jsonl west.jsonl
 #include <cstdio>
 #include <exception>
